@@ -21,17 +21,23 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Sequence, Union
 
 
-def atomic_write(path: Union[str, Path], data: bytes) -> None:
+def atomic_write(
+    path: Union[str, Path], data: Union[bytes, Sequence[bytes]]
+) -> None:
     """Atomically replace ``path`` with ``data``.
 
-    Writes to a temp file in the same directory (same filesystem, so the
-    final ``os.replace`` is a true rename), fsyncs the data, renames over
-    the destination, then fsyncs the directory.  On any failure the temp
-    file is removed and the destination is left untouched.
+    ``data`` is one bytes object or a sequence of chunks written back to
+    back — a large payload framed by a small header need not be copied
+    into one buffer first.  Writes to a temp file in the same directory
+    (same filesystem, so the final ``os.replace`` is a true rename),
+    fsyncs the data, renames over the destination, then fsyncs the
+    directory.  On any failure the temp file is removed and the
+    destination is left untouched.
     """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -39,7 +45,8 @@ def atomic_write(path: Union[str, Path], data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, str(target))

@@ -30,7 +30,7 @@ callback order.  Absolute-instant scheduling (``timeout_at``) avoids the
 ``now + (t - now)`` float round-trip that would shift re-armed waits by
 one ulp.
 
-File format (schema 1)
+File format (schema 2)
 ----------------------
 ::
 
@@ -44,17 +44,24 @@ corrupted with a clear :class:`CheckpointError` — a bad checkpoint is
 never silently resumed.  Files are written through
 :func:`repro.core.atomicio.atomic_write` (tmp + fsync + rename), so a
 crash mid-save leaves the previous checkpoint intact.
+
+The payload holds only state that cannot be rebuilt, so its size tracks
+the fleet, not the horizon.  Seeded demand traces pickle as their
+constructor arguments plus a digest of their samples and are regenerated
+(and digest-checked) on load; the sampler's batched demand grids are
+dropped and rebuilt at the first tick after restore.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.atomicio import atomic_write
 from repro.sim.environment import Environment
@@ -66,7 +73,7 @@ if TYPE_CHECKING:
     from repro.core.plane.arbiter import PowerAwareManager
 
 #: Bump on any incompatible change to the manifest or payload layout.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 _MAGIC = b"REPROCKPT1\n"
 
@@ -223,18 +230,17 @@ def save_checkpoint(
         }
     )
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    atomic_write(path, _MAGIC + header.encode("utf-8") + b"\n" + payload)
+    atomic_write(path, (_MAGIC, header.encode("utf-8") + b"\n", payload))
     return manifest
 
 
 def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and validate a checkpoint's manifest without unpickling."""
-    target = Path(path)
-    if not target.exists():
-        raise CheckpointError("no such checkpoint: {}".format(target))
-    data = target.read_bytes()
-    manifest, _ = _split(data, target)
-    return manifest
+    """Parse and validate a checkpoint's manifest without unpickling.
+
+    Reads only the magic and the manifest line, never the payload.
+    """
+    with _open(path) as handle:
+        return _read_header(handle, Path(path))
 
 
 def load_checkpoint(
@@ -244,16 +250,16 @@ def load_checkpoint(
 
     Returns ``(state, records, manifest)``.  Raises
     :class:`CheckpointError` naming the exact defect — bad magic,
-    incompatible schema, stale writer version, truncation, or digest
-    mismatch — so operators can tell a torn file from a wrong one.
+    incompatible schema, stale writer version, truncation, digest
+    mismatch, or a trace that no longer regenerates to its pickled
+    samples — so operators can tell a torn file from a wrong one.
     """
     from repro import __version__
 
     target = Path(path)
-    if not target.exists():
-        raise CheckpointError("no such checkpoint: {}".format(target))
-    data = target.read_bytes()
-    manifest, payload = _split(data, target)
+    with _open(target) as handle:
+        manifest = _read_header(handle, target)
+        payload = handle.read()
     if manifest.get("repro_version") != __version__:
         raise CheckpointError(
             "stale checkpoint {}: written by repro {}, running {}".format(
@@ -278,6 +284,10 @@ def load_checkpoint(
         raise CheckpointError(
             "corrupted checkpoint {}: payload digest mismatch".format(target)
         )
+    # Unpickling (and regenerating traces) allocates a whole object graph
+    # that is all live: cyclic-GC passes during it only cost time.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         blob = pickle.loads(payload)
         state, records = blob["state"], blob["records"]
@@ -289,23 +299,37 @@ def load_checkpoint(
                 target, exc
             )
         ) from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return state, records, manifest
 
 
-def _split(data: bytes, target: Path) -> Tuple[Dict[str, Any], bytes]:
-    """Separate ``data`` into (manifest, payload), validating framing."""
-    if not data.startswith(_MAGIC):
+def _open(path: Union[str, Path]) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise CheckpointError(
+            "no such checkpoint: {}".format(Path(path))
+        ) from None
+
+
+def _read_header(handle: BinaryIO, target: Path) -> Dict[str, Any]:
+    """Read and validate the magic and manifest line from ``handle``.
+
+    Leaves ``handle`` positioned at the first payload byte.
+    """
+    if handle.read(len(_MAGIC)) != _MAGIC:
         raise CheckpointError(
             "not a repro checkpoint: {} (bad magic)".format(target)
         )
-    try:
-        header_end = data.index(b"\n", len(_MAGIC))
-    except ValueError:
+    line = handle.readline()
+    if not line.endswith(b"\n"):
         raise CheckpointError(
             "truncated checkpoint {}: manifest line incomplete".format(target)
-        ) from None
+        )
     try:
-        manifest = json.loads(data[len(_MAGIC):header_end].decode("utf-8"))
+        manifest = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(
             "corrupted checkpoint {}: unreadable manifest ({})".format(
@@ -318,7 +342,7 @@ def _split(data: bytes, target: Path) -> Tuple[Dict[str, Any], bytes]:
                 manifest.get("schema"), target, CHECKPOINT_SCHEMA
             )
         )
-    return manifest, data[header_end + 1:]
+    return manifest
 
 
 # ----------------------------------------------------------------------

@@ -408,6 +408,14 @@ class Cluster:
         when = self.env.now if t is None else t
         return sum(h.refresh_utilization(when) for h in self.hosts)
 
+    def __getstate__(self) -> dict:
+        # The registry-total grid is derived: the sampler rebuilds it at
+        # its first tick after a checkpoint restore.
+        state = self.__dict__.copy()
+        state["_demand_grid"] = None
+        state["_demand_grid_tag"] = None
+        return state
+
     def __repr__(self) -> str:
         return "<Cluster {} hosts ({} active), {} VMs>".format(
             len(self.hosts), len(self.active_hosts()), len(self._vms)

@@ -519,6 +519,16 @@ class Host:
             )
         self.out_of_service = False
 
+    def __getstate__(self) -> dict:
+        # The batched grids are derived: the sampler rebuilds them at its
+        # first tick after a checkpoint restore.
+        state = self.__dict__.copy()
+        state["_grid_resident"] = None
+        state["_grid_util"] = None
+        state["_grid_power"] = None
+        state["_grid_chunk"] = -1
+        return state
+
     def __repr__(self) -> str:
         return "<Host {} {} vms={} {:.0f}W>".format(
             self.name, self.state.value, len(self.vms), self.power_w()

@@ -130,6 +130,14 @@ class VM:
         self._demand_value = value
         return value
 
+    def __getstate__(self) -> dict:
+        # The batched grid is derived: the sampler rebuilds it at its
+        # first tick after a checkpoint restore.
+        state = self.__dict__.copy()
+        state["_demand_grid"] = None
+        state["_demand_grid_chunk"] = -1
+        return state
+
     @property
     def placed(self) -> bool:
         return self.host is not None

@@ -550,13 +550,23 @@ class ClusterSampler:
         self._sink = sink
 
     def __getstate__(self) -> dict:
-        """Checkpoint without the sink: it wraps an open file handle.
+        """Checkpoint without the sink or the batched demand grids.
 
-        The runner re-attaches a resume-mode sink after restore (see
-        :class:`repro.telemetry.stream.StreamingMetricsSink`).
+        The sink wraps an open file handle; the runner re-attaches a
+        resume-mode sink after restore (see
+        :class:`repro.telemetry.stream.StreamingMetricsSink`).  The grids
+        are derived: with no current chunk, the first on-lattice tick
+        after restore rebuilds them (VM, host and cluster grids are
+        dropped by their own ``__getstate__``).
         """
         state = self.__dict__.copy()
         state["_sink"] = None
+        state["_grid_n"] = 0
+        state["_grid_gold"] = []
+        state["_grid_silver"] = []
+        state["_grid_bronze"] = []
+        state["_grid_total"] = []
+        state["_grid_vm_epoch"] = None
         return state
 
     # ------------------------------------------------------------------

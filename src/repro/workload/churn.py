@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.datacenter.vm import VM
 from repro.sim import ResumeSpec
-from repro.workload.fleet import FleetSpec, _draw_priority, _make_trace
+from repro.workload.fleet import FleetSpec, _draw_priority, _make_trace, _priority_table
 
 
 class ChurnGenerator:
@@ -51,6 +51,7 @@ class ChurnGenerator:
         self.arrival_rate_per_h = arrival_rate_per_h
         self.mean_lifetime_s = mean_lifetime_s
         self.spec = spec or FleetSpec(n_vms=1)
+        self._priorities = _priority_table(self.spec.priority_weights)
         self.arrived = 0
         self.rejected = 0
         self.departed = 0
@@ -83,7 +84,7 @@ class ChurnGenerator:
             vcpus=vcpus,
             mem_gb=vcpus * self.spec.mem_gb_per_vcpu,
             trace=_make_trace(archetype, self.rng, self.spec),
-            priority=_draw_priority(self.rng, self.spec.priority_weights),
+            priority=_draw_priority(self.rng, self._priorities),
         )
 
     def _arrivals(self, resume_at: Optional[float] = None):

@@ -3,24 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.datacenter.vm import Priority, VM
-
-_PRIORITY_BY_NAME = {
-    "gold": Priority.GOLD,
-    "silver": Priority.SILVER,
-    "bronze": Priority.BRONZE,
-}
-
-
-def _draw_priority(rng: np.random.Generator, weights: Dict[str, float]) -> Priority:
-    names = sorted(weights)
-    probs = np.array([weights[n] for n in names], dtype=float)
-    probs /= probs.sum()
-    return _PRIORITY_BY_NAME[str(rng.choice(names, p=probs))]
 from repro.workload.traces import (
     BurstyTrace,
     CompositeTrace,
@@ -30,6 +17,30 @@ from repro.workload.traces import (
     SpikeTrace,
     Trace,
 )
+
+_PRIORITY_BY_NAME = {
+    "gold": Priority.GOLD,
+    "silver": Priority.SILVER,
+    "bronze": Priority.BRONZE,
+}
+
+#: Service classes in sorted-name order and their normalized draw weights.
+PriorityTable = Tuple[Tuple[Priority, ...], np.ndarray]
+
+
+def _priority_table(weights: Dict[str, float]) -> PriorityTable:
+    """Build the class draw table once per fleet (or churn generator)."""
+    names = sorted(weights)
+    probs = np.array([weights[n] for n in names], dtype=float)
+    probs /= probs.sum()
+    return tuple(_PRIORITY_BY_NAME[n] for n in names), probs
+
+
+def _draw_priority(rng: np.random.Generator, table: PriorityTable) -> Priority:
+    # Drawing an index consumes the generator exactly as drawing from the
+    # name list does, so fleets stay bit-identical.
+    classes, probs = table
+    return classes[int(rng.choice(len(classes), p=probs))]
 
 
 @dataclass
@@ -195,6 +206,7 @@ def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List
     vcpu_weights = np.array(spec.vcpu_weights, dtype=float)
     vcpu_weights /= vcpu_weights.sum()
     shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
+    priorities = _priority_table(spec.priority_weights)
 
     fleet = []
     for i in range(spec.n_vms):
@@ -213,7 +225,7 @@ def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List
             vcpus=vcpus,
             mem_gb=vcpus * spec.mem_gb_per_vcpu,
             trace=trace,
-            priority=_draw_priority(rng, spec.priority_weights),
+            priority=_draw_priority(rng, priorities),
         )
         fleet.append(vm)
     return fleet

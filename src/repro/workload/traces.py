@@ -8,9 +8,11 @@ spiky) pre-draw a sample grid from a seeded RNG so every lookup is pure.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_right
-from typing import Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,10 +25,12 @@ def _clamp01(x: float) -> float:
 
 def trace_grid(
     trace: "Trace",
-    ticks: Sequence[float],
+    ticks: Union[Sequence[float], "np.ndarray"],
     cache: Optional[dict] = None,
 ) -> "np.ndarray":
     """Evaluate ``trace.at`` over many instants in one batched pass.
+
+    ``ticks`` is a list of instants or a float64 array of them.
 
     Returns a float64 array whose every element is **bit-identical** to
     the scalar ``trace.at(t)`` at the same instant:
@@ -37,6 +41,11 @@ def trace_grid(
       part order from a zero array, which performs the identical IEEE-754
       multiply/add sequence per element as the scalar loop, then clamps
       with the same ``< 0.0`` / ``> 1.0`` comparisons;
+    * :class:`DiurnalTrace` runs the scalar arithmetic elementwise in the
+      same operation order and maps ``math.cos``/``math.pow`` over the
+      values — numpy's own ``cos``/``power`` use SIMD kernels whose
+      results may differ from libm in the last bit;
+    * :class:`FlatTrace` is its constant level;
     * anything else falls back to per-instant scalar evaluation (still
       one batched call for the caller, exact by construction).
 
@@ -49,6 +58,12 @@ def trace_grid(
         hit = cache.get(key)
         if hit is not None:
             return hit
+    if isinstance(ticks, np.ndarray) and not isinstance(
+        trace, (DiurnalTrace, FlatTrace)
+    ):
+        # The other branches do scalar arithmetic per instant, as ``at``
+        # does: give them Python floats, not numpy scalars.
+        ticks = ticks.tolist()
     if isinstance(trace, SampledTrace):
         step = trace.step_s
         n = trace._n_samples
@@ -72,6 +87,20 @@ def trace_grid(
         # scalar comparisons produce, leave everything else untouched.
         out[out < 0.0] = 0.0
         out[out > 1.0] = 1.0
+    elif isinstance(trace, DiurnalTrace):
+        t = np.asarray(ticks, dtype=float)
+        angle = 2.0 * math.pi * (t - trace.phase_s) / trace.period_s
+        cos = np.fromiter(map(math.cos, angle.tolist()), float, len(t))
+        shaped = 0.5 * (1.0 + cos)
+        if trace.sharpness != 1.0:
+            shaped = np.fromiter(
+                map(math.pow, shaped.tolist(), repeat(trace.sharpness)),
+                float,
+                len(t),
+            )
+        out = trace.low + (trace.high - trace.low) * shaped
+    elif isinstance(trace, FlatTrace):
+        out = np.full(len(ticks), trace.level, dtype=float)
     else:
         out = np.array([trace.at(t) for t in ticks], dtype=float)
     if cache is not None:
@@ -173,6 +202,10 @@ class SampledTrace(Trace):
     (tiling), which keeps long simulations well-defined.
     """
 
+    #: Pickling bookkeeping, not trace content: the scenario cache key
+    #: must not change when a recipe is recorded or a digest cached.
+    __cache_ignore__ = ("_recipe", "_digest")
+
     def __init__(self, samples: Sequence[float], step_s: float = 60.0) -> None:
         if len(samples) == 0:
             raise ValueError("need at least one sample")
@@ -188,6 +221,7 @@ class SampledTrace(Trace):
         self._samples_list = arr.tolist()
         self._n_samples = len(self._samples_list)
         self.step_s = step_s
+        self._digest: Optional[str] = None
 
     @property
     def horizon_s(self) -> float:
@@ -196,8 +230,57 @@ class SampledTrace(Trace):
     def at(self, t: float) -> float:
         return self._samples_list[int(t // self.step_s) % self._n_samples]
 
+    def samples_digest(self) -> str:
+        """sha256 of the sample grid, computed once and cached."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self._samples.tobytes()).hexdigest()
+        return self._digest
 
-class BurstyTrace(SampledTrace):
+    def __getstate__(self) -> dict:
+        # The list mirror duplicates ``_samples``; rebuild it on load.
+        state = self.__dict__.copy()
+        del state["_samples_list"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._samples_list = self._samples.tolist()
+
+
+def _regenerate(cls: type, recipe: Tuple[Any, ...], digest: str) -> "SeededTrace":
+    """Unpickle a :class:`SeededTrace` by re-running its constructor.
+
+    Raises ``ValueError`` if the regenerated samples differ from the ones
+    that were pickled (a changed generator or numpy stream), so a trace
+    is never silently replaced by a different one.
+    """
+    trace = cls(*recipe)
+    if trace.samples_digest() != digest:
+        raise ValueError(
+            "{} regenerated from its recipe does not match the pickled "
+            "samples (digest {} != {})".format(
+                cls.__name__, trace.samples_digest(), digest
+            )
+        )
+    return trace
+
+
+class SeededTrace(SampledTrace):
+    """A sampled trace that is a pure function of its constructor arguments.
+
+    Each subclass draws its samples from its own ``default_rng(seed)`` and
+    records its arguments as ``_recipe``.  It pickles as that recipe plus
+    the samples' digest — a few hundred bytes however long the horizon —
+    and unpickling regenerates the samples and checks the digest.
+    """
+
+    _recipe: Tuple[Any, ...]
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (_regenerate, (type(self), self._recipe, self.samples_digest()))
+
+
+class BurstyTrace(SeededTrace):
     """Low baseline punctuated by sustained bursts.
 
     Burst arrivals are Poisson with mean spacing ``mean_gap_s``; burst
@@ -231,9 +314,12 @@ class BurstyTrace(SampledTrace):
         super().__init__(samples, step_s)
         self.base = base
         self.burst = burst
+        self._recipe = (
+            seed, base, burst, mean_gap_s, mean_burst_s, horizon_s, step_s
+        )
 
 
-class SpikeTrace(SampledTrace):
+class SpikeTrace(SeededTrace):
     """Mostly idle with rare, short, tall spikes (batch / cron style)."""
 
     def __init__(
@@ -255,9 +341,12 @@ class SpikeTrace(SampledTrace):
         for start in rng.integers(0, max(1, n - width), size=count):
             samples[start : start + width] = spike
         super().__init__(np.clip(samples, 0.0, 1.0), step_s)
+        self._recipe = (
+            seed, base, spike, spikes_per_day, spike_s, horizon_s, step_s
+        )
 
 
-class NoisyTrace(SampledTrace):
+class NoisyTrace(SeededTrace):
     """Wraps another trace with bounded Gaussian noise (pre-sampled)."""
 
     def __init__(
@@ -272,9 +361,12 @@ class NoisyTrace(SampledTrace):
             raise ValueError("sigma must be non-negative")
         rng = np.random.default_rng(seed)
         n = int(horizon_s // step_s)
-        base = np.array([inner.at(i * step_s) for i in range(n)])
+        # ``float(i) * step_s`` elementwise: the same IEEE product as the
+        # scalar ``i * step_s`` (i is exact in float64).
+        base = trace_grid(inner, np.arange(n, dtype=float) * step_s)
         noisy = np.clip(base + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
         super().__init__(noisy, step_s)
+        self._recipe = (inner, seed, sigma, horizon_s, step_s)
 
 
 class PlateauTrace(Trace):

@@ -15,6 +15,11 @@ class TestAtomicWrite:
         atomic_write(target, b"payload")
         assert target.read_bytes() == b"payload"
 
+    def test_writes_chunks_back_to_back(self, tmp_path):
+        target = tmp_path / "out.bin"
+        atomic_write(target, (b"head\n", memoryview(b"pay"), b"load"))
+        assert target.read_bytes() == b"head\npayload"
+
     def test_replaces_existing(self, tmp_path):
         target = tmp_path / "out.bin"
         target.write_bytes(b"old")

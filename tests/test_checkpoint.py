@@ -9,18 +9,21 @@ validator certifies the resumed runs too.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import run_scenario
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
+    load_checkpoint,
     read_manifest,
 )
 from repro.core.policies import hybrid_policy, s3_policy, s5_policy
 from repro.core.runner import branch_scenario, resume_scenario
 from repro.datacenter import FaultModel, RepairModel
 from repro.telemetry.validate import validate_trace
+from repro.workload import traces
 
 KW = dict(
     n_hosts=6,
@@ -160,6 +163,44 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="schema"):
             resume_scenario(path)
 
+    def test_schema_1_rejected(self, tmp_path):
+        path = self._one_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        magic, rest = raw.split(b"\n", 1)
+        header, payload = rest.split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["schema"] = 1
+        path.write_bytes(
+            magic + b"\n"
+            + json.dumps(manifest, sort_keys=True).encode() + b"\n"
+            + payload
+        )
+        with pytest.raises(CheckpointError, match="schema 1"):
+            resume_scenario(path)
+
+    def test_trace_that_regenerates_differently_rejected(
+        self, tmp_path, monkeypatch
+    ):
+        path = self._one_checkpoint(tmp_path)
+        real_init = traces.SampledTrace.__init__
+
+        def drifted(self, samples, step_s=60.0):
+            real_init(self, np.roll(samples, 1), step_s)
+
+        monkeypatch.setattr(traces.SampledTrace, "__init__", drifted)
+        with pytest.raises(CheckpointError, match="unreadable payload"):
+            resume_scenario(path)
+
+    def test_read_manifest_skips_the_payload(self, tmp_path):
+        path = self._one_checkpoint(tmp_path)
+        manifest = read_manifest(path)
+        data = path.read_bytes()
+        header_end = data.index(b"\n", data.index(b"\n") + 1)
+        path.write_bytes(data[: header_end + 1 + 16])
+        assert read_manifest(path) == manifest
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such checkpoint"):
             resume_scenario(tmp_path / "absent.repro")
@@ -172,6 +213,36 @@ class TestRejection:
         assert manifest["seed"] == KW["seed"]
         assert manifest["horizon_s"] == KW["horizon_s"]
         assert len(manifest["sha256"]) == 64
+
+
+class TestHorizonIndependence:
+    def test_bytes_per_vm_do_not_depend_on_horizon(self, tmp_path):
+        # Same fleet, 2 h vs 48 h scenario: the t = 1 h checkpoints hold
+        # the same state, so their sizes must not scale with the horizon
+        # (seeded traces pickle as recipes, not as sample grids).
+        sizes = {}
+        for hours in (2, 48):
+            result = run_scenario(
+                s3_policy(),
+                n_hosts=4,
+                n_vms=12,
+                horizon_s=hours * 3600.0,
+                seed=3,
+                checkpoint_every_s=3600.0,
+                checkpoint_dir=tmp_path / "h{}".format(hours),
+            )
+            path, manifest = result.checkpoints.saved[0]
+            assert manifest["sim_time_s"] == 3600.0
+            sizes[hours] = path.stat().st_size
+        assert abs(sizes[48] - sizes[2]) < 0.05 * sizes[2], sizes
+
+    def test_restore_rebuilds_derived_grids(self, tmp_path):
+        ckpt = _checkpointed(tmp_path, s3_policy(), "grids")
+        state, _, _ = load_checkpoint(ckpt.checkpoints.saved[0][0])
+        assert state.sampler._grid_n == 0
+        assert state.cluster._demand_grid is None
+        assert all(h._grid_resident is None for h in state.cluster.hosts)
+        assert all(vm._demand_grid is None for vm in state.cluster.iter_vms())
 
 
 class TestStreaming:

@@ -107,6 +107,37 @@ class TestScenarioDigest:
             vm.demand_cores(120.0)
         assert canonical(fresh) == canonical(used)
 
+    def test_hand_built_fleet_canonical_form_is_pinned(self):
+        """Recipe/digest bookkeeping on seeded traces stays out of the key.
+
+        The pinned hash was computed before seeded traces recorded their
+        constructor arguments; neither that nor caching a sample digest
+        (as a checkpoint save does) nor a pickle round trip may move it.
+        """
+        import hashlib
+        import json
+        import pickle
+
+        from repro.workload.fleet import build_fleet
+
+        fleet = build_fleet(
+            FleetSpec(n_vms=8, horizon_s=4 * 3600.0, shared_fraction=0.25),
+            seed=5,
+        )
+
+        def key(vms):
+            blob = json.dumps(canonical(vms), sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+        pinned = "60086ba04d6059748757d3eb8fd879a484dfd53512c1e1cc506e1ec146337579"
+        assert key(fleet) == pinned
+        for vm in fleet:
+            for _, part in vm.trace.parts:
+                if hasattr(part, "samples_digest"):
+                    part.samples_digest()
+        assert key(fleet) == pinned
+        assert key(pickle.loads(pickle.dumps(fleet))) == pinned
+
     def test_spec_digest_raises_for_live_objects(self):
         from repro.workload.fleet import build_fleet
 

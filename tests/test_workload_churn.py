@@ -56,6 +56,31 @@ class TestChurn:
 
         assert run_once() == run_once()
 
+    def test_draws_are_pinned(self, env):
+        # Pinned before the draw tables were hoisted out of ``_draw_vm``:
+        # building them once must not change a single draw.
+        import hashlib
+
+        churn = ChurnGenerator(
+            env,
+            seed=9,
+            admit=lambda vm: True,
+            retire=lambda vm: None,
+            spec=FleetSpec(n_vms=1, horizon_s=6 * 3600.0),
+        )
+        h = hashlib.sha256()
+        for _ in range(40):
+            vm = churn._draw_vm()
+            h.update(
+                "{} {} {} {}|".format(
+                    vm.name, vm.vcpus, vm.priority.name, type(vm.trace).__name__
+                ).encode()
+            )
+            h.update(vm.trace._samples.tobytes())
+        assert h.hexdigest() == (
+            "6a7fe13d96c0ee1991af0b3db825e5f4f834451c0e114a39009cc704ab150550"
+        )
+
     def test_unique_names(self, env):
         names = []
         churn, _ = run_churn(env, admit=lambda vm: names.append(vm.name) or True)

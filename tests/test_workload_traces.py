@@ -1,6 +1,11 @@
 """Unit tests for workload traces."""
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import (
     BurstyTrace,
@@ -13,7 +18,13 @@ from repro.workload import (
     SpikeTrace,
     StepTrace,
 )
-from repro.workload.traces import DAY_S
+from repro.workload.traces import (
+    DAY_S,
+    PlateauTrace,
+    SeededTrace,
+    WeeklyTrace,
+    trace_grid,
+)
 
 
 def sample_range(trace, horizon=DAY_S, step=300.0):
@@ -191,3 +202,141 @@ class TestCompositeAndScaled:
     def test_scaled_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             ScaledTrace(FlatTrace(0.5), -1.0)
+
+
+def bits(values):
+    """Exact float64 bit patterns (``==`` would equate 0.0 and -0.0)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestTraceGridExactness:
+    """The vectorized Diurnal/Flat branches equal scalar ``at`` bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        low=st.floats(0.0, 0.5),
+        span=st.floats(0.0, 0.5),
+        peak_hour=st.floats(0.0, 24.0),
+        sharpness=st.one_of(st.just(1.0), st.floats(0.2, 4.0)),
+        period_h=st.sampled_from([24.0, 24.0, 7.5, 168.0]),
+        n=st.sampled_from([120, 1440, 10080]),
+        step_s=st.sampled_from([60.0, 30.0, 300.0]),
+    )
+    def test_diurnal_grid_matches_scalar(
+        self, low, span, peak_hour, sharpness, period_h, n, step_s
+    ):
+        trace = DiurnalTrace(
+            low=low,
+            high=low + span,
+            period_s=period_h * 3600.0,
+            peak_hour=peak_hour,
+            sharpness=sharpness,
+        )
+        ticks = [i * step_s for i in range(n)]
+        assert bits(trace_grid(trace, ticks)) == bits(
+            [trace.at(t) for t in ticks]
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(level=st.floats(0.0, 1.0), n=st.sampled_from([1, 120, 10080]))
+    def test_flat_grid_matches_scalar(self, level, n):
+        trace = FlatTrace(level)
+        ticks = [i * 60.0 for i in range(n)]
+        assert bits(trace_grid(trace, ticks)) == bits(
+            [trace.at(t) for t in ticks]
+        )
+
+    def test_noisy_samples_equal_scalar_construction(self):
+        # NoisyTrace draws its base through trace_grid; the samples must
+        # equal the per-sample ``inner.at`` construction it replaced.
+        for inner in (
+            DiurnalTrace(0.08, 0.7, peak_hour=11.3, sharpness=1.7),
+            DiurnalTrace(0.1, 0.9),
+            FlatTrace(0.35),
+            WeeklyTrace(DiurnalTrace()),
+        ):
+            for horizon_s in (7200.0, DAY_S, 7 * DAY_S):
+                trace = NoisyTrace(inner, 99, sigma=0.04, horizon_s=horizon_s)
+                n = int(horizon_s // 60.0)
+                rng = np.random.default_rng(99)
+                base = np.array([inner.at(i * 60.0) for i in range(n)])
+                expected = np.clip(
+                    base + rng.normal(0.0, 0.04, size=n), 0.0, 1.0
+                )
+                assert bits(trace._samples) == bits(expected)
+
+
+def _every_trace_class():
+    shared = BurstyTrace(5, horizon_s=DAY_S)
+    return [
+        FlatTrace(0.3),
+        StepTrace([(0.0, 0.2), (3600.0, 0.7)]),
+        DiurnalTrace(sharpness=1.3),
+        SampledTrace([0.1, 0.5, 0.9], step_s=600.0),
+        shared,
+        SpikeTrace(6, horizon_s=DAY_S),
+        NoisyTrace(DiurnalTrace(peak_hour=9.0), 7, horizon_s=DAY_S),
+        PlateauTrace(),
+        WeeklyTrace(FlatTrace(0.6)),
+        CompositeTrace([(0.3, shared), (0.7, FlatTrace(0.2))]),
+        ScaledTrace(DiurnalTrace(), 1.4),
+    ]
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "trace", _every_trace_class(), ids=lambda t: type(t).__name__
+    )
+    def test_round_trip_keeps_at_bits(self, trace):
+        clone = pickle.loads(pickle.dumps(trace))
+        assert type(clone) is type(trace)
+        instants = [i * 97.0 for i in range(2000)]
+        assert bits([clone.at(t) for t in instants]) == bits(
+            [trace.at(t) for t in instants]
+        )
+
+    def test_seeded_traces_pickle_as_recipes(self):
+        for horizon_s in (DAY_S, 7 * DAY_S):
+            for trace in (
+                BurstyTrace(1, horizon_s=horizon_s),
+                SpikeTrace(2, horizon_s=horizon_s),
+                NoisyTrace(FlatTrace(0.4), 3, horizon_s=horizon_s),
+            ):
+                assert isinstance(trace, SeededTrace)
+                # A recipe and a digest, not 1440-10080 samples.
+                assert len(pickle.dumps(trace)) < 600
+
+    def test_plain_sampled_trace_pickles_samples_once(self):
+        trace = SampledTrace(np.linspace(0.0, 1.0, 5000))
+        assert "_samples_list" not in trace.__getstate__()
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone._samples_list == trace._samples_list
+        assert len(pickle.dumps(trace)) < 5000 * 8 + 1000
+
+    def test_shared_component_stays_shared(self):
+        shared = BurstyTrace(11, horizon_s=DAY_S)
+        fleet = [
+            CompositeTrace([(0.3, shared), (0.7, FlatTrace(0.1 * k))])
+            for k in range(5)
+        ]
+        clone = pickle.loads(pickle.dumps(fleet))
+        first = clone[0].parts[0][1]
+        assert all(c.parts[0][1] is first for c in clone)
+
+    def test_digest_is_cached_and_carried(self):
+        trace = BurstyTrace(4, horizon_s=DAY_S)
+        digest = trace.samples_digest()
+        assert trace.samples_digest() is digest
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone._digest == digest
+
+    def test_regeneration_mismatch_raises(self, monkeypatch):
+        blob = pickle.dumps(BurstyTrace(8, horizon_s=DAY_S))
+        real_init = BurstyTrace.__init__
+
+        def drifted(self, seed, *args):
+            real_init(self, seed + 1, *args)
+
+        monkeypatch.setattr(BurstyTrace, "__init__", drifted)
+        with pytest.raises(ValueError, match="does not match"):
+            pickle.loads(blob)
