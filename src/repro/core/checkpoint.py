@@ -30,7 +30,7 @@ callback order.  Absolute-instant scheduling (``timeout_at``) avoids the
 ``now + (t - now)`` float round-trip that would shift re-armed waits by
 one ulp.
 
-File format (schema 2)
+File format (schema 3)
 ----------------------
 ::
 
@@ -48,8 +48,8 @@ crash mid-save leaves the previous checkpoint intact.
 The payload holds only state that cannot be rebuilt, so its size tracks
 the fleet, not the horizon.  Seeded demand traces pickle as their
 constructor arguments plus a digest of their samples and are regenerated
-(and digest-checked) on load; the sampler's batched demand grids are
-dropped and rebuilt at the first tick after restore.
+(and digest-checked) on load; the cluster's demand block is dropped and
+rebuilt when the run resumes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ if TYPE_CHECKING:
     from repro.core.plane.arbiter import PowerAwareManager
 
 #: Bump on any incompatible change to the manifest or payload layout.
-CHECKPOINT_SCHEMA = 2
+#: 3: the cluster carries one demand block instead of per-VM, per-host and
+#:    cluster demand caches (the pickled VM/Host/Cluster/sampler layouts
+#:    changed).
+CHECKPOINT_SCHEMA = 3
 
 _MAGIC = b"REPROCKPT1\n"
 

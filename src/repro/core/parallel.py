@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Union
 
 if TYPE_CHECKING:
-    from repro.core.manager import ManagementLog, PowerAwareManager
+    from repro.core.plane import ManagementLog, PowerAwareManager
     from repro.core.runner import ScenarioResult
     from repro.datacenter.cluster import Cluster
     from repro.datacenter.host import Host

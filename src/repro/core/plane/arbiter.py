@@ -259,15 +259,34 @@ class PowerAwareManager:
                 best, best_slack = host, slack
         return best
 
+    def _overload_and_headroom(self, now: float) -> Tuple[float, float]:
+        """Demand beyond capacity on active hosts, and free headroom under
+        the balancer's destination ceiling on placeable hosts.
+
+        Served from the sampler's same-instant pre-aggregation when there
+        is one.  The scan accumulates in the same host order, from zero,
+        with the same expressions — not with ``sum``, which is compensated
+        for floats from Python 3.12 on and would disagree with it.
+        """
+        agg = self.tick_aggregates
+        if agg is not None and agg._agg_now == now:
+            return agg._agg_overload, agg._agg_headroom
+        overload = 0.0
+        for h in self.cluster.active_hosts():
+            overload += max(0.0, h.demand_cores(now) - h.cores)
+        ceiling = self.config.balance.dst_ceiling
+        headroom = 0.0
+        for h in self.cluster.placeable_hosts():
+            headroom += max(0.0, h.cores * ceiling - h.demand_cores(now))
+        return overload, headroom
+
     def _admission_demand(self, vm: VM) -> float:
         """Planning demand for a not-yet-observed VM."""
         return max(vm.demand_cores(self.env.now), 0.25 * vm.vcpus)
 
     def _planning_load(self, host: Host) -> float:
-        # Resident demand plus the migration tax is exactly what
-        # ``Host.demand_cores`` caches (same accumulation order), so the
-        # per-host walk this used to do collapses into the cached/grid
-        # read — bit-identical, O(1) at sampler-lattice instants.
+        # Resident demand plus the migration tax: ``Host.demand_cores``
+        # (a demand-block read at sampler ticks).
         return host.demand_cores(self.env.now)
 
     def _capacity_in_reserve(self) -> bool:
@@ -460,23 +479,7 @@ class PowerAwareManager:
                 cap_cores - committed,
             )
         else:
-            agg = self.tick_aggregates
-            if agg is not None and agg._agg_now == now:
-                overload = agg._agg_overload
-                headroom_free = agg._agg_headroom
-            else:
-                overload = sum(
-                    max(0.0, h.demand_cores(now) - h.cores)
-                    for h in self.cluster.active_hosts()
-                )
-                headroom_free = sum(
-                    max(
-                        0.0,
-                        h.cores * self.config.balance.dst_ceiling
-                        - h.demand_cores(now),
-                    )
-                    for h in self.cluster.placeable_hosts()
-                )
+            overload, headroom_free = self._overload_and_headroom(now)
             if overload > 0.25 and overload > headroom_free:
                 trigger = "host-overload"
                 shortfall = min(overload, cap_cores - committed)

@@ -26,7 +26,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import ManagerConfig
-from repro.core.manager import PowerAwareManager
+from repro.core.plane import PowerAwareManager
 from repro.core.plane.neat import NeatManager
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.faults import FaultModel, MigrationFaultInjector
@@ -563,6 +563,7 @@ def resume_scenario(
         )
         live.sampler.attach_sink(sink)
     restore_processes(live.env, records)
+    live.sampler.install_block()
     t_run0 = time.perf_counter()  # reprolint: disable=RL002
     return _drive(
         live, t_run0 - t_setup0, checkpoint_every_s, checkpoint_dir, sink
@@ -595,5 +596,6 @@ def branch_scenario(
             )
         live.horizon_s = float(horizon_s)
     restore_processes(live.env, records)
+    live.sampler.install_block()
     t_run0 = time.perf_counter()  # reprolint: disable=RL002
     return _drive(live, t_run0 - t_setup0, None, None, None)

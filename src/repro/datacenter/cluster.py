@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     from repro.sim.environment import Environment
     from repro.telemetry.trace import TraceBuffer
 
+from repro.datacenter.demand import DemandBlock, MatrixFn
 from repro.datacenter.faults import FaultModel
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
@@ -49,20 +50,9 @@ class Cluster:
         if not self.hosts:
             raise ValueError("cluster needs at least one host")
         self._vms: Dict[str, VM] = {}
-        # Registry epoch for the cluster-level demand cache: bumps on
-        # admit/retire so a cached total is never served across a
-        # membership change.
-        self._vm_epoch = 0
-        self._demand_key: Optional[Tuple[float, int]] = None
-        self._demand_value = 0.0
-        # Registry-total demand grid, installed by the sampler's chunk
-        # build (see ClusterSampler._build_grids): the precomputed
-        # registry-order totals at upcoming tick instants, valid while
-        # ``_demand_grid_tag`` still equals ``_vm_epoch``.
-        self._demand_grid: Optional[List[float]] = None
-        self._demand_grid_i0 = 0
-        self._demand_grid_eps = 0.0
-        self._demand_grid_tag: Optional[int] = None
+        #: Demand at the current block of sampler ticks, installed by
+        #: :meth:`install_block`; derived, so never checkpointed.
+        self._block: Optional[DemandBlock] = None
         # Static inventory aggregates (the host list never changes after
         # construction; per-host cores/profiles are construction-time
         # constants).  Computed with the same expressions — and the same
@@ -91,7 +81,6 @@ class Cluster:
             (_B_WAKING, self._waking),
             (_B_EVACUATING, self._evacuating),
         )
-        self._pos: Dict[str, int] = {h.name: i for i, h in enumerate(self.hosts)}
         self._membership: List[int] = [0] * len(self.hosts)
         # Bumped on every index mutation; memoizes the capacity sums below
         # (recomputed with the identical scan when the index has changed,
@@ -104,8 +93,9 @@ class Cluster:
         # Each host's energy meter is created once and never replaced;
         # prebinding skips two attribute hops per host per power sample.
         self._meters = [h.machine.meter for h in self.hosts]
-        for host in self.hosts:
-            host._index_cb = self._reindex_host
+        for slot, host in enumerate(self.hosts):
+            host._cluster = self
+            host._slot = slot
             self._reindex_host(host)
 
     # ------------------------------------------------------------------
@@ -141,7 +131,7 @@ class Cluster:
 
     def _reindex_host(self, host: Host) -> None:  # reprolint: hot
         """Re-file one host after a membership mutation (index callback)."""
-        pos = self._pos[host.name]
+        pos = host._slot
         mask = self._host_mask(host)
         old = self._membership[pos]
         if mask == old:
@@ -252,15 +242,17 @@ class Cluster:
             raise ValueError("host {} is not in this cluster".format(host.name))
         host.place(vm)
         self._vms[vm.name] = vm
-        self._vm_epoch += 1
+        if self._block is not None:
+            self._block.vm_admitted(vm)
 
     def remove_vm(self, vm: VM) -> None:
         """Retire ``vm`` (departure); it is unbound from its host."""
         if self._vms.pop(vm.name, None) is None:
             raise KeyError("VM {} not in cluster".format(vm.name))
-        self._vm_epoch += 1
         if vm.host is not None:
             vm.host.remove(vm)
+        if self._block is not None:
+            self._block.registry_changed()
 
     def get_vm(self, name: str) -> VM:
         return self._vms[name]
@@ -361,44 +353,44 @@ class Cluster:
         """Host core sizes, largest first (callers must not mutate)."""
         return self._host_cores_desc
 
+    # ------------------------------------------------------------------
+    # Demand
+    # ------------------------------------------------------------------
+
+    def install_block(self, ticks: List[float], matrix_fn: MatrixFn) -> DemandBlock:
+        """Build the demand block for ``ticks`` and serve reads from it."""
+        self._block = DemandBlock(self, ticks, matrix_fn)
+        return self._block
+
+    def _host_changed(self, host: Host) -> None:
+        """Keep ``host``'s block rows current after its VM set changed."""
+        block = self._block
+        if block is not None:
+            block.host_changed(host)
+
     def demand_cores(self, t: Optional[float] = None) -> float:
+        """Registry demand at ``t``: VM demands summed in registry order."""
         when = self.env.now if t is None else t
-        key = (when, self._vm_epoch)
-        if key == self._demand_key:
-            return self._demand_value
-        grid = self._demand_grid
-        if grid is not None and self._demand_grid_tag == self._vm_epoch:
-            # Batched fast path: the registry is unchanged since the
-            # sampler precomputed the totals, so a lattice instant reads
-            # the grid — the identical registry-order accumulation.
-            eps = self._demand_grid_eps
-            i = int(when / eps + 0.5)
-            j = i - self._demand_grid_i0
-            if 0 <= j < len(grid) and i * eps == when:
-                value = grid[j]
-                self._demand_key = key
-                self._demand_value = value
-                return value
-        # Inline the per-VM memo fast path (see ``VM.demand_cores``): at
-        # manager instants that coincide with a sampler tick every VM is a
-        # memo hit, and skipping the method call halves the walk's cost.
-        # ``sum`` over the same registry order, starting from zero, so the
-        # accumulation is bit-identical to the genexpr it replaces.
+        block = self._block
+        if block is not None:
+            j = block.col.get(when)
+            if j is not None:
+                return block.total[j]
         value = 0.0
         for vm in self._vms.values():
-            value += (
-                vm._demand_value
-                if when == vm._demand_at_t
-                else vm.demand_cores(when)
-            )
-        self._demand_key = key
-        self._demand_value = value
+            value += vm.demand_cores(when)
         return value
 
     def power_w(self) -> float:
         # ``_power_w`` is what the ``power_w`` property returns; reading
         # the slot directly skips 1 property dispatch per host per tick.
-        return sum(m._power_w for m in self._meters)
+        # An explicit loop, not ``sum()``: the sampler's tick total is
+        # the same sequential accumulation (``sum`` of floats is
+        # compensated from Python 3.12 on).
+        total = 0.0
+        for meter in self._meters:
+            total += meter._power_w
+        return total
 
     def energy_j(self) -> float:
         return sum(h.energy_j() for h in self.hosts)
@@ -409,11 +401,10 @@ class Cluster:
         return sum(h.refresh_utilization(when) for h in self.hosts)
 
     def __getstate__(self) -> dict:
-        # The registry-total grid is derived: the sampler rebuilds it at
-        # its first tick after a checkpoint restore.
+        # The demand block is derived: a resumed run rebuilds it (see
+        # ClusterSampler.install_block).
         state = self.__dict__.copy()
-        state["_demand_grid"] = None
-        state["_demand_grid_tag"] = None
+        state["_block"] = None
         return state
 
     def __repr__(self) -> str:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.datacenter.cluster import Cluster
     from repro.sim.environment import Environment
     from repro.sim.events import Event
     from repro.telemetry.trace import TraceBuffer
@@ -62,12 +63,15 @@ class Host:
             raise ValueError("cores and mem_gb must be positive")
         if mem_overcommit < 1.0:
             raise ValueError("mem_overcommit must be >= 1.0")
-        #: Installed by :class:`~repro.datacenter.cluster.Cluster`; fired on
-        #: every change to a membership-relevant bit (power state,
-        #: out-of-service, maintenance, evacuating) so the cluster's host
-        #: index stays current without rescanning the inventory.  Created
-        #: first: the flag-backed properties below notify through it.
-        self._index_cb: Optional[Callable[["Host"], None]] = None
+        #: The owning :class:`~repro.datacenter.cluster.Cluster`, installed
+        #: by it.  Told of every change to a membership-relevant bit (power
+        #: state, out-of-service, maintenance, evacuating) so its host index
+        #: stays current without rescanning the inventory, and of every
+        #: placement change so its demand block does.  Created first: the
+        #: flag-backed properties below notify through it.
+        self._cluster: Optional["Cluster"] = None
+        #: Position in the owning cluster's inventory (installed with it).
+        self._slot = 0
         self.env = env
         self.name = name
         self.cores = float(cores)
@@ -102,31 +106,12 @@ class Host:
         # of an O(VMs) sum on every placement probe.
         self._mem_used_gb = 0.0
         self._vcpus_committed = 0.0
-        # Demand cache: (t, epoch) -> total demand.  The epoch bumps on any
-        # change to what demand_cores(t) sums over (VM set, migration tax),
-        # so repeated same-instant planning reads hit the cache.
-        self._demand_epoch = 0
-        self._demand_key: Optional[Tuple[float, int]] = None
-        self._demand_value = 0.0
-        self._resident_value = 0.0
-        # Per-host batched grids (see ClusterSampler._build_grids): the
-        # resident demand sum, clamped utilization, and interpolated
-        # active wattage at upcoming sampler ticks.  Valid only while
-        # ``_grid_tag`` still equals ``_demand_epoch`` — any placement or
-        # migration-tax change invalidates them until the next chunk.
-        self._grid_resident: Optional[list] = None
-        self._grid_util: Optional[list] = None
-        self._grid_power: Optional[list] = None
-        self._grid_chunk = -1
-        self._grid_tag = -1
-        self._grid_i0 = 0
-        self._grid_eps = 0.0
         # Live multiset of resident anti-affinity groups, maintained by
         # place()/remove() so group membership probes are O(1) instead of
         # an O(VMs) scan per candidate host.
         self._aa_groups: Dict[str, int] = {}
         #: Extra cores consumed by in-flight migrations (source+dest tax).
-        self._migration_tax_cores = 0.0
+        self.migration_tax_cores = 0.0
         #: Memory held for inbound migrations, counted against mem_free_gb.
         self.mem_reserved_gb = 0.0
         #: Anti-affinity groups of inbound (in-flight) migrations.
@@ -181,8 +166,8 @@ class Host:
 
     def _membership_changed(self) -> None:
         """Tell the owning cluster's host index to re-file this host."""
-        if self._index_cb is not None:
-            self._index_cb(self)
+        if self._cluster is not None:
+            self._cluster._reindex_host(self)
 
     @property
     def out_of_service(self) -> bool:
@@ -213,16 +198,6 @@ class Host:
     def evacuating(self, value: bool) -> None:
         self._evacuating = value
         self._membership_changed()
-
-    @property
-    def migration_tax_cores(self) -> float:
-        """Extra cores consumed by in-flight migrations (src+dst tax)."""
-        return self._migration_tax_cores
-
-    @migration_tax_cores.setter
-    def migration_tax_cores(self, value: float) -> None:
-        self._migration_tax_cores = value
-        self._demand_epoch += 1
 
     @property
     def mem_used_gb(self) -> float:
@@ -296,8 +271,9 @@ class Host:
         if vm.anti_affinity_group is not None:
             group = vm.anti_affinity_group
             self._aa_groups[group] = self._aa_groups.get(group, 0) + 1
-        self._demand_epoch += 1
         vm.host = self
+        if self._cluster is not None:
+            self._cluster._host_changed(self)
 
     def remove(self, vm: VM) -> None:
         """Unbind ``vm`` from this host."""
@@ -317,60 +293,37 @@ class Host:
                 self._aa_groups[vm.anti_affinity_group] = count
             else:
                 del self._aa_groups[vm.anti_affinity_group]
-        self._demand_epoch += 1
         vm.host = None
+        if self._cluster is not None:
+            self._cluster._host_changed(self)
 
     # ------------------------------------------------------------------
     # Demand & power
     # ------------------------------------------------------------------
 
     def demand_cores(self, t: float) -> float:  # reprolint: hot
-        """Total CPU demand at ``t``: VM demand plus migration tax.
+        """Total CPU demand at ``t``: resident VM demand plus migration tax."""
+        return self.resident_demand_cores(t) + self.migration_tax_cores
 
-        Memoized per ``(t, epoch)`` — the sampler and the manager's
-        planning passes all read the same instant, so only the first call
-        per tick walks the VM dict (summation order is unchanged, keeping
-        the result bit-identical to the uncached expression).  The
-        resident sum (without the tax) is cached alongside for
-        :meth:`resident_demand_cores`.
+    def resident_demand_cores(self, t: float) -> float:  # reprolint: hot
+        """Resident VM demand at ``t``, *without* the migration tax.
+
+        The VMs' demands summed from zero in ``vms`` dict order.  At a
+        tick of the cluster's demand block this is the block's row value
+        (the same accumulation, precomputed); at any other instant the
+        walk runs here, straight from the traces.
         """
-        key = (t, self._demand_epoch)
-        if key == self._demand_key:
-            return self._demand_value
-        rg = self._grid_resident
-        if rg is not None and self._grid_tag == self._demand_epoch:
-            # Batched fast path: no placement/tax change since the
-            # sampler built this host's resident-sum grid, so instants
-            # on the tick lattice read the precomputed value (identical
-            # floats — the grid is the same accumulation, per element).
-            eps = self._grid_eps
-            i = int(t / eps + 0.5)
-            j = i - self._grid_i0
-            if 0 <= j < len(rg) and i * eps == t:
-                resident = rg[j]
-                self._demand_key = key
-                self._resident_value = resident
-                self._demand_value = resident + self._migration_tax_cores
-                return self._demand_value
+        cluster = self._cluster
+        block = cluster._block if cluster is not None else None
+        if block is not None:
+            try:
+                return block.resident[self._slot][block.col[t]]
+            except KeyError:
+                pass
         resident = 0.0
         for vm in self.vms.values():
             resident += vm.demand_cores(t)
-        self._demand_key = key
-        self._resident_value = resident
-        self._demand_value = resident + self._migration_tax_cores
-        return self._demand_value
-
-    def resident_demand_cores(self, t: float) -> float:
-        """Resident VM demand at ``t``, *without* the migration tax.
-
-        Bit-identical to ``sum(vm.demand_cores(t) for vm in
-        host.vms.values())`` — the expression the evacuation planner and
-        load balancer previously evaluated per candidate host — but
-        served from the same per-instant cache as :meth:`demand_cores`.
-        """
-        if (t, self._demand_epoch) != self._demand_key:
-            self.demand_cores(t)
-        return self._resident_value
+        return resident
 
     def shortfall_by_class(self, t: float) -> Dict[Priority, float]:
         """Undelivered cores per service class at ``t``.
@@ -389,10 +342,10 @@ class Host:
         shortfall: Dict[Priority, float] = {p: 0.0 for p in Priority}
         if not self.is_active and self.vms:
             return demand_per_class
-        capacity_left = max(0.0, self.cores - self._migration_tax_cores)
+        capacity_left = max(0.0, self.cores - self.migration_tax_cores)
         if self.is_active and self.dvfs is not None:
             capacity_left = max(
-                0.0, self.cores * self.frequency - self._migration_tax_cores
+                0.0, self.cores * self.frequency - self.migration_tax_cores
             )
         for priority in sorted(Priority):
             demand = demand_per_class[priority]
@@ -518,16 +471,6 @@ class Host:
                 "{} is not out of service; nothing to repair".format(self.name)
             )
         self.out_of_service = False
-
-    def __getstate__(self) -> dict:
-        # The batched grids are derived: the sampler rebuilds them at its
-        # first tick after a checkpoint restore.
-        state = self.__dict__.copy()
-        state["_grid_resident"] = None
-        state["_grid_util"] = None
-        state["_grid_power"] = None
-        state["_grid_chunk"] = -1
-        return state
 
     def __repr__(self) -> str:
         return "<Host {} {} vms={} {:.0f}W>".format(

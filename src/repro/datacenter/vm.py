@@ -45,18 +45,9 @@ class VM:
         priority: service class (default BRONZE — lowest).
     """
 
-    #: Derived/runtime state the scenario cache must not hash: the demand
-    #: memo is a pure cache, and ``host`` binding is an execution outcome.
-    __cache_ignore__ = (
-        "_demand_at_t",
-        "_demand_value",
-        "_demand_grid",
-        "_demand_grid_chunk",
-        "_demand_grid_i0",
-        "_demand_grid_epoch",
-        "host",
-        "migrating",
-    )
+    #: Runtime state the scenario cache must not hash: ``host`` binding
+    #: and an in-flight migration are execution outcomes.
+    __cache_ignore__ = ("host", "migrating")
 
     def __init__(
         self,
@@ -85,58 +76,16 @@ class VM:
         self.dirty_rate_gbps = 0.05
         #: Cumulative count of completed migrations of this VM.
         self.migration_count = 0
-        # Demand memo: traces are deterministic in t, and within one epoch
-        # the sampler, watchdog and consolidation loops all ask for demand
-        # at the same instant — evaluate the trace once per distinct t.
-        self._demand_at_t: Optional[float] = None
-        self._demand_value = 0.0
-        #: Batched demand grid (see ClusterSampler._build_grids): demand
-        #: in cores at consecutive sampler ticks ``i0, i0+1, ...`` of
-        #: width ``epoch`` seconds, plus the chunk id it belongs to.
-        #: ``None``/-1 means "no grid"; the scalar path is always the
-        #: source of truth and the grid is bit-identical by construction.
-        #: Grids are keyed to absolute tick indices, so even a grid from
-        #: an old chunk stays semantically valid (traces are immutable).
-        self._demand_grid: Optional[list] = None
-        self._demand_grid_chunk = -1
-        self._demand_grid_i0 = 0
-        self._demand_grid_epoch = 0.0
 
     def demand_cores(self, t: float) -> float:
         """CPU demand at time ``t``, in cores (clamped to [0, vcpus])."""
-        if t == self._demand_at_t:
-            return self._demand_value
-        grid = self._demand_grid
-        if grid is not None:
-            # Batched-grid fast path: instants that sit exactly on the
-            # sampler's tick lattice read the precomputed chunk instead
-            # of dispatching into the trace.  The exactness guard means
-            # any off-lattice instant falls through to the scalar path.
-            eps = self._demand_grid_epoch
-            i = int(t / eps + 0.5)
-            j = i - self._demand_grid_i0
-            if 0 <= j < len(grid) and i * eps == t:
-                value = grid[j]
-                self._demand_at_t = t
-                self._demand_value = value
-                return value
         fraction = self.trace.at(t)
         if fraction < 0:
             raise ValueError(
                 "trace for {} returned negative demand {}".format(self.name, fraction)
             )
-        value = min(fraction, 1.0) * self.vcpus
-        self._demand_at_t = t
-        self._demand_value = value
-        return value
-
-    def __getstate__(self) -> dict:
-        # The batched grid is derived: the sampler rebuilds it at its
-        # first tick after a checkpoint restore.
-        state = self.__dict__.copy()
-        state["_demand_grid"] = None
-        state["_demand_grid_chunk"] = -1
-        return state
+        # ``min(fraction, 1.0)`` without the call (same result, NaN too).
+        return (1.0 if fraction > 1.0 else fraction) * self.vcpus
 
     @property
     def placed(self) -> bool:

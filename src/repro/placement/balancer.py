@@ -11,12 +11,11 @@ cost/benefit filter to avoid migration churn).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
-
-DemandFn = Callable[[VM], float]
+from repro.placement.evacuation import DemandFn, host_load
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class LoadBalancer:
         """Return up to ``max_moves_per_round`` de-overload/balance moves.
 
         ``demand_fn=None`` selects the canonical demand at ``now``, with
-        per-host loads served from the resident-demand cache — the same
-        values as the explicit per-VM sums, without the walk.
+        per-host loads read from ``Host.resident_demand_cores`` — the same
+        ordered per-VM sums, served from the demand block at ticks.
         """
         cfg = self.config
         # Planning view: utilization per host, mutated as moves are chosen.
@@ -80,10 +79,7 @@ class LoadBalancer:
 
             load = {h.name: h.resident_demand_cores(now) for h in hosts}
         else:
-            load = {
-                h.name: sum(demand_fn(vm) for vm in h.vms.values())
-                for h in hosts
-            }
+            load = {h.name: host_load(h, demand_fn) for h in hosts}
         moves: List[Move] = []
         for _ in range(cfg.max_moves_per_round):
             move = self._best_single_move(hosts, load, demand_fn)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -11,6 +12,18 @@ from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
 
 DemandFn = Callable[[VM], float]
+
+
+def host_load(host: Host, demand_fn: DemandFn) -> float:
+    """``demand_fn`` summed over ``host``'s VMs in dict order, from zero.
+
+    The same sequential accumulation as ``Host.resident_demand_cores``
+    (``sum`` of floats is compensated from Python 3.12 on).
+    """
+    load = 0.0
+    for vm in host.vms.values():
+        load += demand_fn(vm)
+    return load
 
 
 def plan_evacuation(
@@ -36,9 +49,9 @@ def plan_evacuation(
     if not 0.0 < cpu_target <= 1.0:
         raise ValueError("cpu_target must be in (0, 1]")
 
-    # ``demand_fn=None`` selects the canonical demand — demand at ``now``
-    # served from the per-host resident cache, which is bit-identical to
-    # the explicit per-VM sum it replaces but O(1) per candidate host.
+    # ``demand_fn=None`` selects the canonical demand — demand at ``now``,
+    # with per-host loads read from ``Host.resident_demand_cores`` (the
+    # same ordered per-VM sum, served from the demand block at ticks).
     canonical = demand_fn is None
     if demand_fn is None:
         def demand_fn(vm: VM, _t: float = now) -> float:
@@ -52,7 +65,7 @@ def plan_evacuation(
         cpu_budget[t.name] = t.cores * cpu_target - (
             t.resident_demand_cores(now)
             if canonical
-            else sum(demand_fn(vm) for vm in t.vms.values())
+            else host_load(t, demand_fn)
         )
         mem_budget[t.name] = t.mem_free_gb
         # Same set as scanning every resident VM for its group, served
@@ -67,8 +80,10 @@ def plan_evacuation(
         return None
 
     plan: List[Tuple[VM, Host]] = []
-    for vm in sorted(movable, key=demand_fn, reverse=True):
-        demand = demand_fn(vm)
+    ranked = sorted(
+        [(demand_fn(vm), vm) for vm in movable], key=itemgetter(0), reverse=True
+    )
+    for demand, vm in ranked:
         fitting = [
             t
             for t in usable

@@ -52,12 +52,16 @@ class PowerModel:
     def power_at_grid(self, utilizations: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`power_at` over a float64 utilization array.
 
-        The base implementation just loops; subclasses override it with a
-        batched computation whose per-element operation sequence matches
-        the scalar method exactly, so every returned watt is bit-identical
-        to ``power_at`` on the same input.
+        Any shape; the result has the same shape.  The base
+        implementation just loops; subclasses override it with a batched
+        computation whose per-element operation sequence matches the
+        scalar method exactly, so every returned watt is bit-identical to
+        ``power_at`` on the same input.
         """
-        return np.array([self.power_at(float(u)) for u in utilizations])
+        u = np.asarray(utilizations, dtype=float)
+        return np.array([self.power_at(x) for x in u.ravel().tolist()]).reshape(
+            u.shape
+        )
 
     @staticmethod
     def _check_utilization(utilization: float) -> float:
@@ -142,9 +146,11 @@ class PiecewisePowerModel(PowerModel):
         lo = np.maximum(hi - 1, 0)
         hi_c = np.minimum(hi, len(us) - 1)
         us_lo = us[lo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (u - us_lo) / (us[hi_c] - us_lo)
-            interp = ws[lo] + (ws[hi_c] - ws[lo]) * frac
+        # A zero span only occurs where ``hi == 0``, whose elements are
+        # overwritten below; dividing by 1.0 there avoids the 0/0.
+        span = us[hi_c] - us_lo
+        frac = (u - us_lo) / np.where(span == 0.0, 1.0, span)
+        interp = ws[lo] + (ws[hi_c] - ws[lo]) * frac
         out = np.where(us_lo == u, ws[lo], interp)
         out[hi == 0] = ws[0]
         return out

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.datacenter.cluster import Cluster
+from repro.datacenter.demand import DemandBlock
 from repro.datacenter.vm import Priority
 from repro.sim import ResumeSpec
 from repro.power.states import PowerState
 from repro.telemetry.timeseries import BoundedTimeSeries, TimeSeries
 from repro.telemetry.view import ClusterView, TelemetryFeed
-from repro.workload.traces import trace_grid
+from repro.workload.traces import trace_matrix
 
 
 class ClusterSampler:
@@ -89,26 +88,9 @@ class ClusterSampler:
         self.class_demand_core_s: Dict[Priority, float] = {p: 0.0 for p in Priority}
         self.samples = 0
         self._process = None
-        # ------------------------------------------------------------------
-        # Batched demand grids: every ``_grid_chunk_ticks`` epochs one
-        # vectorized pass (see :func:`repro.workload.traces.trace_grid`)
-        # precomputes each VM's demand at the upcoming tick instants plus
-        # the registry-order class aggregates, so the per-tick walk reads
-        # flat lists instead of dispatching into per-VM trace objects.
-        # Values are bit-identical to the scalar path by construction;
-        # the scalar walk remains the fallback for off-grid instants,
-        # VMs admitted mid-chunk, and registries that changed since the
-        # aggregates were built.
-        # ------------------------------------------------------------------
-        self._grid_chunk_ticks = 128
-        self._grid_chunk_id = 0
-        self._grid_i0 = 0
-        self._grid_n = 0
-        self._grid_gold: List[float] = []
-        self._grid_silver: List[float] = []
-        self._grid_bronze: List[float] = []
-        self._grid_total: List[float] = []
-        self._grid_vm_epoch: Optional[int] = None
+        #: Sampler ticks per demand block (see
+        #: :class:`~repro.datacenter.demand.DemandBlock`).
+        self.block_ticks = 128
         #: Manager's balancer destination ceiling, when wired by the
         #: scenario runner: lets the tick walk accumulate the watchdog's
         #: overload / free-headroom sums as it goes, so
@@ -126,98 +108,33 @@ class ClusterSampler:
             for h in cluster.hosts
         ]
 
-    def _build_grids(self, i0: int) -> None:
-        """Precompute demand grids for ticks ``[i0, i0 + chunk)``.
+    def _block_instants(self, now: float) -> List[float]:
+        """Instants of the block starting at ``now``.
 
-        One vectorized pass per VM (shared sub-traces deduplicated via
-        the cache), accumulating the per-class and registry-order totals
-        elementwise in registry order — the identical IEEE-754 operation
-        sequence, per element, as the scalar registry walk.
+        On the tick lattice (``now`` is exactly ``i * epoch_s``; event
+        times are accumulated sums, so this is an exact test) the block
+        spans the next ``block_ticks`` lattice instants plus the one
+        after them, where the sampler starts the next block: planning
+        reads that run at that instant ahead of the sampler's tick are
+        still served from a block.  Off the lattice, the block holds
+        ``now`` alone.
         """
         epoch = self.epoch_s
-        n = self._grid_chunk_ticks
-        ticks = [j * epoch for j in range(i0, i0 + n)]
-        cache: dict = {}
-        cluster = self.cluster
-        self._grid_chunk_id += 1
-        chunk = self._grid_chunk_id
-        gold = np.zeros(n)
-        silver = np.zeros(n)
-        bronze = np.zeros(n)
-        total = np.zeros(n)
-        complete = True
-        arrs: Dict[int, np.ndarray] = {}
-        for vm in cluster.iter_vms():
-            arr = trace_grid(vm.trace, ticks, cache)
-            if arr.min() < 0.0:
-                # A negative demand must raise from the scalar path at
-                # the exact instant it is reached — leave this VM off
-                # the grid rather than erroring early here.
-                vm._demand_grid = None
-                vm._demand_grid_chunk = -1
-                complete = False
-                continue
-            g = np.minimum(arr, 1.0) * vm.vcpus
-            arrs[id(vm)] = g
-            vm._demand_grid = g.tolist()
-            vm._demand_grid_chunk = chunk
-            vm._demand_grid_i0 = i0
-            vm._demand_grid_epoch = epoch
-            total += g
-            p = vm.priority
-            if p == 0:
-                gold += g
-            elif p == 1:
-                silver += g
-            else:
-                bronze += g
-        self._grid_i0 = i0
-        self._grid_n = n
-        self._grid_gold = gold.tolist()
-        self._grid_silver = silver.tolist()
-        self._grid_bronze = bronze.tolist()
-        self._grid_total = total.tolist()
-        self._grid_vm_epoch = cluster._vm_epoch if complete else None
-        # Per-host aggregates: the resident sum (elementwise, in the
-        # host's VM dict order — the identical accumulation as the
-        # scalar walk), plus the clamped utilization and interpolated
-        # active wattage derived from it with the same per-element
-        # operation sequence as the per-tick scalar expressions.  Tagged
-        # with the host's demand epoch: any placement or migration-tax
-        # change invalidates the grids until the next chunk.
-        for host in cluster.hosts:
-            vms = host.vms
-            if not vms:
-                host._grid_chunk = -1
-                continue
-            acc = np.zeros(n)
-            ok = True
-            for vm in vms.values():
-                a = arrs.get(id(vm))
-                if a is None:
-                    ok = False
-                    break
-                acc += a
-            if not ok:
-                host._grid_chunk = -1
-                continue
-            util = np.minimum(acc / host.cores, 1.0)
-            host._grid_resident = acc.tolist()
-            host._grid_util = util.tolist()
-            host._grid_power = (
-                host.machine.profile.active_model.power_at_grid(util).tolist()
-            )
-            host._grid_chunk = chunk
-            host._grid_tag = host._demand_epoch
-            host._grid_i0 = i0
-            host._grid_eps = epoch
-        # Let ``Cluster.demand_cores`` itself serve lattice instants from
-        # the registry totals (manager reads at instants that pop before
-        # the tick — consolidation — miss the single-slot cache).
-        cluster._demand_grid = self._grid_total
-        cluster._demand_grid_i0 = i0
-        cluster._demand_grid_eps = epoch
-        cluster._demand_grid_tag = self._grid_vm_epoch
+        i = int(now / epoch + 0.5)
+        if i * epoch != now:
+            return [now]
+        return [k * epoch for k in range(i, i + self.block_ticks + 1)]
+
+    def install_block(self) -> DemandBlock:
+        """Build the cluster's demand block starting at the current instant.
+
+        ``sample_once`` calls this when its tick leaves the current block;
+        a checkpoint resume calls it once the run is restored, so reads
+        at the restore instant are served from a block too.
+        """
+        return self.cluster.install_block(
+            self._block_instants(self.env.now), trace_matrix
+        )
 
     def start(self) -> "Process":  # noqa: F821
         if self._process is not None:
@@ -233,111 +150,41 @@ class ClusterSampler:
         """Take one sample immediately; returns the epoch's shortfall cores.
 
         This is the simulation's per-instant hot path, so the whole tick
-        is one fused walk over the host inventory: each host's VM demands
-        are read once (populating the per-VM memo) and its utilization
-        refresh plus per-class strict-priority shortfall arithmetic run
-        inline.  The accumulation order — hosts in inventory order, VMs in
-        per-host dict order, classes GOLD→SILVER→BRONZE, then the cluster
-        VM registry for class demand — is exactly the order of the
-        separate walks this replaces, so every series value stays
-        bit-identical.
+        is one fused walk over the host inventory reading the cluster's
+        demand block: each host's resident and per-class demand, and its
+        utilization and active wattage, are precomputed row values, and
+        its utilization refresh plus per-class strict-priority shortfall
+        arithmetic run inline.  The accumulation order — hosts in
+        inventory order, classes GOLD→SILVER→BRONZE — is exactly the
+        order of the separate walks this replaces, so every series value
+        stays bit-identical.
         """
         now = self.env.now
         cluster = self.cluster
-        epoch = self.epoch_s
-        # Grid index for this instant: usable only when ``now`` sits
-        # exactly on the tick lattice (event times are accumulated sums,
-        # so the exactness guard keeps the grid bit-faithful).
-        i = int(now / epoch + 0.5)
-        if i * epoch == now:
-            if not (
-                self._grid_n and self._grid_i0 <= i < self._grid_i0 + self._grid_n
-            ):
-                self._build_grids(i)
-            gi = i - self._grid_i0
-        else:
-            gi = -1
-        chunk = self._grid_chunk_id
+        block = cluster._block
+        j = block.col.get(now) if block is not None else None
+        if j is None or j == len(block.ticks) - 1:
+            block = self.install_block()
+            j = 0
         shortfall = 0.0
         gold_sf = silver_sf = bronze_sf = 0.0
         ceiling = self._headroom_ceiling
         overload_sum = 0.0
         headroom_sum = 0.0
         power_total = 0.0
-
-        def class_split(vms: dict, gi: int):
-            # Per-class demand from the VM grids, accumulated in the
-            # host's VM dict order — the same order (and floats) as the
-            # fused walk's inline accumulation.  Only called on the
-            # host-grid fast path, where every member VM is guaranteed a
-            # current-chunk grid.
-            g = sv = b = 0.0
-            for vm in vms.values():
-                v = vm._demand_grid[gi]
-                p = vm.priority
-                if p == 0:
-                    g += v
-                elif p == 1:
-                    sv += v
-                else:
-                    b += v
-            return g, sv, b
-
-        for host, machine, meter, cores, dvfs in self._host_rows:
+        rows = zip(
+            self._host_rows, block.resident, block.util, block.power, block.classes
+        )
+        for (host, machine, meter, cores, dvfs), resident, util, power, classes in rows:
             vms = host.vms
-            tax = host._migration_tax_cores
+            tax = host.migration_tax_cores
             # Inline machine.is_active (a property + method chain):
             active = (
                 machine._state is PowerState.ACTIVE
                 and machine._transition is None
             )
-            # Host-grid fast path: valid only while the host's demand
-            # epoch still matches the chunk build (no placement or tax
-            # change since), so the precomputed aggregates are exactly
-            # what the per-VM walk would re-derive.
-            hg = (
-                gi >= 0
-                and host._grid_chunk == chunk
-                and host._grid_tag == host._demand_epoch
-            )
-            if vms:
-                if hg:
-                    vm_sum = host._grid_resident[gi]
-                    g = sv = b = 0.0
-                    classes_done = False
-                else:
-                    vm_sum = 0.0
-                    g = sv = b = 0.0
-                    classes_done = True
-                    for vm in vms.values():
-                        # No memo write on the grid branch:
-                        # ``demand_cores`` itself is grid-aware, so any
-                        # later reader at this instant resolves the same
-                        # value in O(1).
-                        if gi >= 0 and vm._demand_grid_chunk == chunk:
-                            v = vm._demand_grid[gi]
-                        else:
-                            v = vm.demand_cores(now)
-                        vm_sum += v
-                        p = vm.priority
-                        if p == 0:
-                            g += v
-                        elif p == 1:
-                            sv += v
-                        else:
-                            b += v
-                demand = vm_sum + tax
-            else:
-                g = sv = b = 0.0
-                vm_sum = 0.0
-                classes_done = True
-                demand = 0 + tax
-            # Serve the same-instant planning reads from the host cache
-            # (both the taxed total and the resident sum — lockstep with
-            # Host.demand_cores / Host.resident_demand_cores).
-            host._demand_key = (now, host._demand_epoch)
-            host._demand_value = demand
-            host._resident_value = vm_sum
+            vm_sum = resident[j]
+            demand = vm_sum + tax
             # Inline Host.refresh_utilization(now):
             if dvfs is not None:
                 if active:
@@ -374,11 +221,11 @@ class ClusterSampler:
                 # DVFS power scale is positive).  ``_active_power`` is
                 # unrolled with the same operation order.  With no
                 # migration tax, ``demand == vm_sum`` bitwise (x + 0.0),
-                # so the precomputed utilization/wattage grids hold
-                # exactly the values the scalar expressions produce.
-                if hg and tax == 0.0:
-                    u = host._grid_util[gi]
-                    pa = host._grid_power[gi]
+                # so the block's utilization/wattage rows hold exactly
+                # the values the scalar expressions produce.
+                if tax == 0.0:
+                    u = util[j]
+                    pa = power[j]
                 else:
                     u = min(demand / cores, 1.0)
                     pa = machine._power_at(u)
@@ -409,17 +256,16 @@ class ClusterSampler:
             # Inline Host.shortfall_by_class(now) accumulation:
             if vms:
                 if not active:
-                    if not classes_done:
-                        g, sv, b = class_split(vms, gi)
-                    gold_sf += g
-                    silver_sf += sv
-                    bronze_sf += b
+                    gold, silver, bronze = classes
+                    gold_sf += gold[j]
+                    silver_sf += silver[j]
+                    bronze_sf += bronze[j]
                 else:
                     if dvfs is not None:
                         capacity_left = max(0.0, cores * host.frequency - tax)
                     else:
                         capacity_left = max(0.0, cores - tax)
-                    if classes_done or vm_sum > capacity_left - 1.0:
+                    if vm_sum > capacity_left - 1.0:
                         # The slack guard makes skipping exact: per-class
                         # sums differ from ``vm_sum`` and the running
                         # ``capacity_left`` from true remainders only by
@@ -427,50 +273,20 @@ class ClusterSampler:
                         # core of headroom every ``min`` resolves to the
                         # class demand and each contribution is exactly
                         # ``d - d == 0.0``.  Anything closer to the edge
-                        # recomputes the split and runs the arithmetic.
-                        if not classes_done:
-                            g, sv, b = class_split(vms, gi)
+                        # runs the arithmetic.
+                        gold, silver, bronze = classes
+                        g = gold[j]
                         delivered = min(g, capacity_left)
                         capacity_left -= delivered
                         gold_sf += g - delivered
+                        sv = silver[j]
                         delivered = min(sv, capacity_left)
                         capacity_left -= delivered
                         silver_sf += sv - delivered
+                        b = bronze[j]
                         bronze_sf += b - min(b, capacity_left)
-        if gi >= 0 and self._grid_vm_epoch == cluster._vm_epoch:
-            # Registry unchanged since the chunk was built: the class
-            # demand totals are precomputed flat lists.
-            gold_d = self._grid_gold[gi]
-            silver_d = self._grid_silver[gi]
-            bronze_d = self._grid_bronze[gi]
-            registry_total = self._grid_total[gi]
-        else:
-            gold_d = silver_d = bronze_d = 0.0
-            registry_total = 0.0
-            for vm in cluster.iter_vms():
-                # Memo hit for every placed VM (populated by the host
-                # walk above); the inline check skips the method call.
-                v = (
-                    vm._demand_value
-                    if now == vm._demand_at_t
-                    else vm.demand_cores(now)
-                )
-                registry_total += v
-                p = vm.priority
-                if p == 0:
-                    gold_d += v
-                elif p == 1:
-                    silver_d += v
-                else:
-                    bronze_d += v
+        gold_d, silver_d, bronze_d = (row[j] for row in block.class_totals)
         demand = gold_d + silver_d + bronze_d
-        # ``registry_total`` accumulates in registry order starting from
-        # zero — exactly ``Cluster.demand_cores``'s own sum — so the
-        # cluster-level cache can be pre-seeded here.  Manager reads at
-        # coincident instants (watchdog, consolidation) then skip their
-        # own registry walk entirely.
-        cluster._demand_key = (now, cluster._vm_epoch)
-        cluster._demand_value = registry_total
         if ceiling is not None:
             self._agg_now = now
             self._agg_overload = overload_sum
@@ -550,23 +366,14 @@ class ClusterSampler:
         self._sink = sink
 
     def __getstate__(self) -> dict:
-        """Checkpoint without the sink or the batched demand grids.
+        """Checkpoint without the sink.
 
         The sink wraps an open file handle; the runner re-attaches a
         resume-mode sink after restore (see
-        :class:`repro.telemetry.stream.StreamingMetricsSink`).  The grids
-        are derived: with no current chunk, the first on-lattice tick
-        after restore rebuilds them (VM, host and cluster grids are
-        dropped by their own ``__getstate__``).
+        :class:`repro.telemetry.stream.StreamingMetricsSink`).
         """
         state = self.__dict__.copy()
         state["_sink"] = None
-        state["_grid_n"] = 0
-        state["_grid_gold"] = []
-        state["_grid_silver"] = []
-        state["_grid_bronze"] = []
-        state["_grid_total"] = []
-        state["_grid_vm_epoch"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The original engine ran each rule over one :class:`ModuleContext` at a
 time, which is enough for local invariants but blind to the properties
 recent regressions actually violated — RNG streams shared between
 subsystems, trace events nobody validates, a mutation path that forgets
-to bump ``_demand_epoch``.  This module adds the whole-program layer:
+to bump an epoch/rev counter.  This module adds the whole-program layer:
 
 * **Pass 1** parses every file once and distills it into a
   :class:`ModuleSummary` — imports, function/class tables with
@@ -68,7 +68,7 @@ _ENV_NO_CACHE = "REPRO_NO_LINT_CACHE"
 
 #: Attribute names that version a memoized aggregate: an integer counter
 #: incremented (``self.X += 1``) on every mutation of the aggregate's
-#: inputs.  ``_demand_epoch`` and ``_index_rev`` are the live instances.
+#: inputs.  ``Cluster._index_rev`` is the live instance.
 EPOCH_FIELD_RE = re.compile(r"(epoch|rev)$")
 
 #: Method names whose call mutates the receiver container in place.

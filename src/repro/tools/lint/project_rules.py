@@ -324,8 +324,9 @@ class MemoInvalidationRule(ProjectRule):
     rule_id = "RL014"
     title = "writes to memo-feeding fields must bump their epoch"
     rationale = (
-        "Memoized aggregates are keyed on epoch/rev counters; a mutation "
-        "path that forgets the bump serves stale capacity or demand "
+        "Memoized aggregates are keyed on epoch/rev counters (the "
+        "cluster's host index and its capacity sums on '_index_rev'); a "
+        "mutation path that forgets the bump serves stale capacity "
         "values that only surface as drift thousands of ticks later."
     )
     scoped_packages = SIM_PACKAGES

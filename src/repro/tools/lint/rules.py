@@ -703,10 +703,7 @@ class RawMigrateRule(Rule):
         # (and the balancer's opportunistic moves, retried next round).
         if module.path.name == "engine.py" and module.in_packages(("migration",)):
             return
-        if module.path.name == "manager.py" and module.in_packages(("core",)):
-            return
-        # The manager moved into the plane package (PR 9): the global
-        # arbiter hosts the retry wrapper now.
+        # The global arbiter hosts the manager's retry wrapper.
         if module.path.name == "arbiter.py" and module.in_packages(("plane",)):
             return
         for node in ast.walk(module.tree):

@@ -15,7 +15,14 @@ import numpy as np
 
 from repro.datacenter.vm import VM
 from repro.sim import ResumeSpec
-from repro.workload.fleet import FleetSpec, _draw_priority, _make_trace, _priority_table
+from repro.workload.fleet import (
+    FleetSpec,
+    _cdf,
+    _draw,
+    _draw_priority,
+    _make_trace,
+    _priority_table,
+)
 
 
 class ChurnGenerator:
@@ -70,14 +77,12 @@ class ChurnGenerator:
 
     def _draw_vm(self) -> VM:
         archetypes = sorted(self.spec.archetype_weights)
-        weights = np.array(
-            [self.spec.archetype_weights[a] for a in archetypes], dtype=float
+        archetype = archetypes[
+            _draw(self.rng, _cdf([self.spec.archetype_weights[a] for a in archetypes]))
+        ]
+        vcpus = int(
+            self.spec.vcpu_choices[_draw(self.rng, _cdf(self.spec.vcpu_weights))]
         )
-        weights /= weights.sum()
-        archetype = str(self.rng.choice(archetypes, p=weights))
-        vcpu_weights = np.array(self.spec.vcpu_weights, dtype=float)
-        vcpu_weights /= vcpu_weights.sum()
-        vcpus = int(self.rng.choice(self.spec.vcpu_choices, p=vcpu_weights))
         self._next_id += 1
         return VM(
             name="churn-{:05d}".format(self._next_id),

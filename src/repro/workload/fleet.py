@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,23 +25,48 @@ _PRIORITY_BY_NAME = {
     "bronze": Priority.BRONZE,
 }
 
-#: Service classes in sorted-name order and their normalized draw weights.
-PriorityTable = Tuple[Tuple[Priority, ...], np.ndarray]
+#: Service classes in sorted-name order and their cumulative draw table.
+PriorityTable = Tuple[Tuple[Priority, ...], List[float]]
+
+
+def _cdf(weights: Sequence[float]) -> List[float]:
+    """Cumulative draw table for :func:`_draw`.
+
+    Built exactly as ``Generator.choice(..., p=w / w.sum())`` builds its
+    own (``cdf = p.cumsum(); cdf /= cdf[-1]``), with ``choice``'s
+    rejection of negative weights.
+    """
+    p = np.array(weights, dtype=float)
+    if not (p >= 0.0).all():
+        raise ValueError("probabilities are not non-negative")
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw(rng: np.random.Generator, cdf: List[float]) -> int:
+    """Index drawn from a :func:`_cdf` table.
+
+    ``choice`` draws one ``rng.random()`` and bisects the table to the
+    right, so this returns the same index and leaves the generator in the
+    same state, without ``choice``'s per-call validation.
+    """
+    return bisect_right(cdf, rng.random())
 
 
 def _priority_table(weights: Dict[str, float]) -> PriorityTable:
     """Build the class draw table once per fleet (or churn generator)."""
     names = sorted(weights)
-    probs = np.array([weights[n] for n in names], dtype=float)
-    probs /= probs.sum()
-    return tuple(_PRIORITY_BY_NAME[n] for n in names), probs
+    return (
+        tuple(_PRIORITY_BY_NAME[n] for n in names),
+        _cdf([weights[n] for n in names]),
+    )
 
 
 def _draw_priority(rng: np.random.Generator, table: PriorityTable) -> Priority:
-    # Drawing an index consumes the generator exactly as drawing from the
-    # name list does, so fleets stay bit-identical.
-    classes, probs = table
-    return classes[int(rng.choice(len(classes), p=probs))]
+    classes, cdf = table
+    return classes[_draw(rng, cdf)]
 
 
 @dataclass
@@ -201,17 +227,15 @@ def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List
     """
     rng = np.random.default_rng(seed)
     archetypes = sorted(spec.archetype_weights)
-    weights = np.array([spec.archetype_weights[a] for a in archetypes], dtype=float)
-    weights /= weights.sum()
-    vcpu_weights = np.array(spec.vcpu_weights, dtype=float)
-    vcpu_weights /= vcpu_weights.sum()
+    archetype_cdf = _cdf([spec.archetype_weights[a] for a in archetypes])
+    vcpu_cdf = _cdf(spec.vcpu_weights)
     shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
     priorities = _priority_table(spec.priority_weights)
 
     fleet = []
     for i in range(spec.n_vms):
-        archetype = str(rng.choice(archetypes, p=weights))
-        vcpus = int(rng.choice(spec.vcpu_choices, p=vcpu_weights))
+        archetype = archetypes[_draw(rng, archetype_cdf)]
+        vcpus = int(spec.vcpu_choices[_draw(rng, vcpu_cdf)])
         trace = _make_trace(archetype, rng, spec)
         if shared is not None:
             trace = CompositeTrace(

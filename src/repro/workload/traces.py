@@ -12,7 +12,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from itertools import repeat
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,70 +24,90 @@ def _clamp01(x: float) -> float:
 
 
 def trace_grid(
-    trace: "Trace",
-    ticks: Union[Sequence[float], "np.ndarray"],
-    cache: Optional[dict] = None,
+    trace: "Trace", ticks: Union[Sequence[float], "np.ndarray"]
 ) -> "np.ndarray":
     """Evaluate ``trace.at`` over many instants in one batched pass.
 
-    ``ticks`` is a list of instants or a float64 array of them.
+    ``ticks`` is a list of instants or a float64 array of them.  Returns
+    a float64 array whose every element is **bit-identical** to the
+    scalar ``trace.at(t)`` at the same instant (see :func:`trace_matrix`).
+    """
+    if isinstance(trace, (SampledTrace, CompositeTrace)):
+        return trace_matrix([trace], ticks)[0]
+    return _single_grid(trace, ticks)
 
-    Returns a float64 array whose every element is **bit-identical** to
-    the scalar ``trace.at(t)`` at the same instant:
 
-    * :class:`SampledTrace` lookups are pure array gathers — the same
-      float64 values scalar indexing returns;
-    * :class:`CompositeTrace` accumulates ``w * part`` elementwise in
-      part order from a zero array, which performs the identical IEEE-754
-      multiply/add sequence per element as the scalar loop, then clamps
+def trace_matrix(
+    traces: Sequence["Trace"], ticks: Union[Sequence[float], "np.ndarray"]
+) -> "np.ndarray":
+    """Evaluate many traces over the same instants: one row per trace.
+
+    Every element is **bit-identical** to the scalar ``traces[r].at(t)``:
+
+    * :class:`SampledTrace` lookups are array gathers — the same float64
+      values scalar indexing returns.  The gather index depends only on
+      ``(step, n)``, so it is computed once per shape;
+    * :class:`CompositeTrace` rows with the same number of parts add
+      ``w * part`` elementwise in part order from a zero array (the parts
+      evaluated as one batch), which is the identical IEEE-754
+      multiply/add sequence per element as the scalar loop, then clamp
       with the same ``< 0.0`` / ``> 1.0`` comparisons;
     * :class:`DiurnalTrace` runs the scalar arithmetic elementwise in the
       same operation order and maps ``math.cos``/``math.pow`` over the
       values — numpy's own ``cos``/``power`` use SIMD kernels whose
       results may differ from libm in the last bit;
     * :class:`FlatTrace` is its constant level;
-    * anything else falls back to per-instant scalar evaluation (still
-      one batched call for the caller, exact by construction).
+    * anything else is evaluated per instant through its scalar ``at``.
 
-    ``cache`` (keyed by trace identity) deduplicates shared sub-traces —
-    fleets built with a nonzero ``shared_fraction`` reference one common
-    component from many VM composites.
+    A trace object listed several times (a fleet's shared component sits
+    in every VM's composite) is evaluated once.
     """
-    if cache is not None:
-        key = id(trace)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    if isinstance(ticks, np.ndarray) and not isinstance(
-        trace, (DiurnalTrace, FlatTrace)
-    ):
-        # The other branches do scalar arithmetic per instant, as ``at``
-        # does: give them Python floats, not numpy scalars.
+    if isinstance(ticks, np.ndarray):
         ticks = ticks.tolist()
-    if isinstance(trace, SampledTrace):
-        step = trace.step_s
-        n = trace._n_samples
-        # The gather index depends only on (step, n), not on the samples,
-        # so traces with the same grid shape — e.g. every diurnal trace in
-        # a fleet — share one index list.  Tuple keys cannot collide with
-        # the integer id() keys used for trace-result entries.
-        idx = None
-        if cache is not None:
-            idx = cache.get(("idx", step, n))
-        if idx is None:
-            idx = [int(t // step) % n for t in ticks]
-            if cache is not None:
-                cache[("idx", step, n)] = idx
-        out = trace._samples[idx]
-    elif isinstance(trace, CompositeTrace):
-        out = np.zeros(len(ticks))
-        for w, part in trace.parts:
-            out += w * trace_grid(part, ticks, cache)
+    else:
+        ticks = list(ticks)
+    slot: Dict[int, int] = {}
+    distinct: List["Trace"] = []
+    order = []
+    for trace in traces:
+        k = slot.get(id(trace))
+        if k is None:
+            k = slot[id(trace)] = len(distinct)
+            distinct.append(trace)
+        order.append(k)
+    out = np.empty((len(distinct), len(ticks)))
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for k, trace in enumerate(distinct):
+        if isinstance(trace, SampledTrace):
+            groups.setdefault(("s", trace.step_s, trace._n_samples), []).append(k)
+        elif isinstance(trace, CompositeTrace):
+            groups.setdefault(("c", len(trace.parts)), []).append(k)
+        else:
+            out[k] = _single_grid(trace, ticks)
+    for key, members in groups.items():
+        if key[0] == "s":
+            step, n = key[1], key[2]
+            idx = np.array([int(t // step) % n for t in ticks], dtype=np.intp)
+            out[members] = [distinct[k]._samples[idx] for k in members]
+            continue
+        acc = np.zeros((len(members), len(ticks)))
+        for p in range(key[1]):
+            parts = [distinct[k].parts[p] for k in members]
+            weights = np.array([w for w, _ in parts], dtype=float)
+            acc += weights[:, None] * trace_matrix([tr for _, tr in parts], ticks)
         # Elementwise _clamp01: replace with the exact constants the
         # scalar comparisons produce, leave everything else untouched.
-        out[out < 0.0] = 0.0
-        out[out > 1.0] = 1.0
-    elif isinstance(trace, DiurnalTrace):
+        acc[acc < 0.0] = 0.0
+        acc[acc > 1.0] = 1.0
+        out[members] = acc
+    return out if len(distinct) == len(order) else out[order]
+
+
+def _single_grid(
+    trace: "Trace", ticks: Union[Sequence[float], "np.ndarray"]
+) -> "np.ndarray":
+    """One trace the batched kinds of :func:`trace_matrix` do not cover."""
+    if isinstance(trace, DiurnalTrace):
         t = np.asarray(ticks, dtype=float)
         angle = 2.0 * math.pi * (t - trace.phase_s) / trace.period_s
         cos = np.fromiter(map(math.cos, angle.tolist()), float, len(t))
@@ -98,14 +118,13 @@ def trace_grid(
                 float,
                 len(t),
             )
-        out = trace.low + (trace.high - trace.low) * shaped
-    elif isinstance(trace, FlatTrace):
-        out = np.full(len(ticks), trace.level, dtype=float)
-    else:
-        out = np.array([trace.at(t) for t in ticks], dtype=float)
-    if cache is not None:
-        cache[key] = out
-    return out
+        return trace.low + (trace.high - trace.low) * shaped
+    if isinstance(trace, FlatTrace):
+        return np.full(len(ticks), trace.level, dtype=float)
+    if isinstance(ticks, np.ndarray):
+        # Scalar arithmetic per instant, as ``at`` does: Python floats.
+        ticks = ticks.tolist()
+    return np.array([trace.at(t) for t in ticks], dtype=float)
 
 
 class Trace:

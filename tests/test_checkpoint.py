@@ -237,12 +237,28 @@ class TestHorizonIndependence:
         assert abs(sizes[48] - sizes[2]) < 0.05 * sizes[2], sizes
 
     def test_restore_rebuilds_derived_grids(self, tmp_path):
+        # The demand block is derived state: absent from the payload, and
+        # rebuilt by the first sampler tick after restore.
         ckpt = _checkpointed(tmp_path, s3_policy(), "grids")
-        state, _, _ = load_checkpoint(ckpt.checkpoints.saved[0][0])
-        assert state.sampler._grid_n == 0
-        assert state.cluster._demand_grid is None
-        assert all(h._grid_resident is None for h in state.cluster.hosts)
-        assert all(vm._demand_grid is None for vm in state.cluster.iter_vms())
+        path, manifest = ckpt.checkpoints.saved[0]
+        assert b"DemandBlock" not in path.read_bytes()
+        state, _, _ = load_checkpoint(path)
+        assert state.cluster._block is None
+        now = state.env.now
+        assert now == manifest["sim_time_s"]
+        state.sampler.sample_once()
+        block = state.cluster._block
+        assert block is not None and block.ticks[0] == now
+        # Its rows are the scalar walks at that instant.
+        for pos, host in enumerate(state.cluster.hosts):
+            resident = 0.0
+            for vm in host.vms.values():
+                resident += vm.demand_cores(now)
+            assert block.resident[pos][0] == resident, host.name
+        total = 0.0
+        for vm in state.cluster.iter_vms():
+            total += vm.demand_cores(now)
+        assert block.total[0] == total
 
 
 class TestStreaming:

@@ -20,7 +20,7 @@ Covers the fault-domain machinery end to end:
 import pytest
 
 from repro.core import ManagerConfig, PowerAwareManager, run_scenario, s3_policy
-from repro.core.manager import _EvacuationTask
+from repro.core.plane import _EvacuationTask
 from repro.datacenter import (
     Cluster,
     FaultModel,

@@ -141,7 +141,7 @@ class TestFixtures:
     def test_rl010_exempts_engine_manager_and_tests(self, tmp_path):
         # The engine owns the call; the manager hosts the retry wrapper...
         engine = REPO_ROOT / "src" / "repro" / "migration" / "engine.py"
-        manager = REPO_ROOT / "src" / "repro" / "core" / "manager.py"
+        manager = REPO_ROOT / "src" / "repro" / "core" / "plane" / "arbiter.py"
         assert lint_file(engine, rules_for_ids(["RL010"])) == []
         assert lint_file(manager, rules_for_ids(["RL010"])) == []
         # ...and tests drive the engine directly to exercise edge cases.
@@ -153,7 +153,7 @@ class TestFixtures:
     def test_rl011_skips_test_files_and_manager_is_clean(self, tmp_path):
         # The live manager's hot paths read the index views — no findings
         # (and no suppressions needed outside deliberate reconciliation).
-        manager = REPO_ROOT / "src" / "repro" / "core" / "manager.py"
+        manager = REPO_ROOT / "src" / "repro" / "core" / "plane" / "arbiter.py"
         assert lint_file(manager, rules_for_ids(["RL011"])) == []
         # Tests drive evaluate()/react_to_shortfall() on toy clusters.
         source = (FIXTURES / "rl011_bad.py").read_text()

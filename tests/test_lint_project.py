@@ -204,30 +204,32 @@ class TestMutationDetection:
     def test_rl014_catches_removed_epoch_bump(self, tmp_path):
         tree = tmp_path / "proj"
         (tree / "datacenter").mkdir(parents=True)
-        host = tree / "datacenter" / "host.py"
-        shutil.copy(SRC / "repro" / "datacenter" / "host.py", host)
+        cluster = tree / "datacenter" / "cluster.py"
+        shutil.copy(SRC / "repro" / "datacenter" / "cluster.py", cluster)
 
         clean = lint_paths([tree], rules=[MemoInvalidationRule()], cache=False)
         assert clean.findings == [], clean.render_text()
 
-        # Drop the bump in place(); remove() still bumps, so the shared
-        # fields stay epoch-protected and the unbumped write must flag.
-        lines = host.read_text().splitlines(keepends=True)
+        # Make the host-index bump conditional: the membership table is
+        # still '_index_rev'-protected, so the write that may now skip
+        # the bump must flag.
+        lines = cluster.read_text().splitlines(keepends=True)
         bumps = [
             i
             for i, line in enumerate(lines)
-            if line.strip() == "self._demand_epoch += 1"
+            if line.strip() == "self._index_rev += 1"
         ]
-        assert len(bumps) >= 2
-        indent = lines[bumps[1]][: len(lines[bumps[1]]) - len(lines[bumps[1]].lstrip())]
-        lines[bumps[1]] = indent + "pass\n"
-        host.write_text("".join(lines))
+        assert len(bumps) == 1
+        line = lines[bumps[0]]
+        indent = line[: len(line) - len(line.lstrip())]
+        lines[bumps[0]] = "{0}if mask:\n{0}    self._index_rev += 1\n".format(indent)
+        cluster.write_text("".join(lines))
 
         dirty = lint_paths([tree], rules=[MemoInvalidationRule()], cache=False)
         hits = [
             f
             for f in dirty.findings
-            if f.rule == "RL014" and "_demand_epoch" in f.message
+            if f.rule == "RL014" and "_index_rev" in f.message
         ]
         assert hits, dirty.render_text()
 

@@ -53,7 +53,6 @@ class TestTopLevelApi:
             "repro.sim",
             "repro.power",
             "repro.core",
-            "repro.core.manager",
             "repro.prototype.calibration",
         ):
             assert importlib.import_module(module).__doc__
