@@ -51,7 +51,7 @@ from repro.datacenter.recovery import WakeScoreboard
 from repro.datacenter.vm import VM
 from repro.migration.engine import MigrationEngine
 from repro.placement.balancer import LoadBalancer
-from repro.placement.evacuation import plan_evacuation
+from repro.placement.evacuation import EvacuationTargets, plan_evacuation
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
 
@@ -663,6 +663,12 @@ class PowerAwareManager:
             self._park_candidates(),
             key=self._park_candidate_key,
         )
+        # One target table per round, built at the round's first plan.
+        # Nothing it holds changes before the round's last plan: spawned
+        # evacuations start after this call returns, and plans reserve
+        # no capacity, so the only change is planned hosts turning
+        # ``evacuating``, which the planner skips.
+        targets: Optional[EvacuationTargets] = None
         for host in candidates:
             if parks >= self.config.max_parks_per_round:
                 break
@@ -670,15 +676,14 @@ class PowerAwareManager:
                 break
             if not self._can_spare(host):
                 break
-            targets = [
-                t
-                for t in self.cluster.placeable_hosts()
-                if t is not host and not t.evacuating
-            ]
+            if targets is None:
+                targets = EvacuationTargets(
+                    self.cluster.placeable_hosts(), cpu_target=target, now=now
+                )
             plan = plan_evacuation(
                 host,
                 targets,
-                    cpu_target=target,
+                cpu_target=target,
                 trace=self._trace,
                 now=now,
             )
@@ -909,15 +914,13 @@ class PowerAwareManager:
         destination may be picked again if it is still the best target.
         """
         now = self.env.now
-        targets = [
-            t
-            for t in self.cluster.placeable_hosts()
-            if t is not task.host and not t.evacuating
-        ]
+        target = self.config.cpu_target
         plan = plan_evacuation(
             task.host,
-            targets,
-            cpu_target=self.config.cpu_target,
+            EvacuationTargets(
+                self.cluster.placeable_hosts(), cpu_target=target, now=now
+            ),
+            cpu_target=target,
             trace=self._trace,
             now=now,
         )
@@ -976,7 +979,7 @@ class PowerAwareManager:
         now = self.env.now
         plan = plan_evacuation(
             host,
-            [t for t in self.cluster.placeable_hosts() if t is not host],
+            EvacuationTargets(self.cluster.placeable_hosts(), cpu_target=1.0, now=now),
             cpu_target=1.0,
             trace=self._trace,
             now=now,

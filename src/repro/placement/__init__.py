@@ -15,10 +15,11 @@ from repro.placement.packing import (
     pack_onto_minimal_hosts,
 )
 from repro.placement.balancer import BalanceConfig, LoadBalancer, Move
-from repro.placement.evacuation import plan_evacuation
+from repro.placement.evacuation import EvacuationTargets, plan_evacuation
 
 __all__ = [
     "BalanceConfig",
+    "EvacuationTargets",
     "LoadBalancer",
     "Move",
     "PackingError",
