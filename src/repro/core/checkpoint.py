@@ -76,7 +76,9 @@ if TYPE_CHECKING:
 #: 3: the cluster carries one demand block instead of per-VM, per-host and
 #:    cluster demand caches (the pickled VM/Host/Cluster/sampler layouts
 #:    changed).
-CHECKPOINT_SCHEMA = 3
+#: 4: the cluster keeps its capacity sums current instead of memoizing
+#:    them on an index revision (schema 3 could pickle stale sums).
+CHECKPOINT_SCHEMA = 4
 
 _MAGIC = b"REPROCKPT1\n"
 

@@ -7,7 +7,9 @@ mutation (power-transition start/end, out-of-service, maintenance,
 evacuating).  Views therefore cost O(category size) instead of an
 O(hosts) predicate scan, while preserving exactly the inventory
 iteration order — and hence the float accumulation order — of the
-scans they replace.
+scans they replace.  The active and committed capacity sums are
+recomputed, in that same order, whenever a host enters or leaves the
+active or waking list, so reading them is an attribute load.
 """
 
 from __future__ import annotations
@@ -82,21 +84,16 @@ class Cluster:
             (_B_EVACUATING, self._evacuating),
         )
         self._membership: List[int] = [0] * len(self.hosts)
-        # Bumped on every index mutation; memoizes the capacity sums below
-        # (recomputed with the identical scan when the index has changed,
-        # so cached values are bit-for-bit what the scan would return).
-        self._index_rev = 0
-        self._active_capacity_rev = -1
-        self._active_capacity = 0.0
-        self._committed_capacity_rev = -1
-        self._committed_capacity = 0.0
         # Each host's energy meter is created once and never replaced;
         # prebinding skips two attribute hops per host per power sample.
         self._meters = [h.machine.meter for h in self.hosts]
         for slot, host in enumerate(self.hosts):
             host._cluster = self
             host._slot = slot
-            self._reindex_host(host)
+            self._refile(host)
+        # Summed once after every host is filed (per host would be
+        # O(hosts^2)); :meth:`_reindex_host` keeps them current after.
+        self._sum_capacity()
 
     # ------------------------------------------------------------------
     # Host index maintenance
@@ -131,12 +128,16 @@ class Cluster:
 
     def _reindex_host(self, host: Host) -> None:  # reprolint: hot
         """Re-file one host after a membership mutation (index callback)."""
+        if self._refile(host) & (_B_ACTIVE | _B_WAKING):
+            self._sum_capacity()
+
+    def _refile(self, host: Host) -> int:
+        """Move ``host`` between the category lists; return changed bits."""
         pos = host._slot
         mask = self._host_mask(host)
-        old = self._membership[pos]
-        if mask == old:
-            return
-        changed = mask ^ old
+        changed = mask ^ self._membership[pos]
+        if not changed:
+            return 0
         for bit, positions in self._index_lists:
             if not changed & bit:
                 continue
@@ -145,7 +146,15 @@ class Cluster:
             else:
                 del positions[bisect_left(positions, pos)]
         self._membership[pos] = mask
-        self._index_rev += 1
+        return changed
+
+    def _sum_capacity(self) -> None:
+        """Recompute the capacity sums, in inventory position order."""
+        hosts = self.hosts
+        self._active_capacity = sum(hosts[i].cores for i in self._active)
+        self._committed_capacity = self._active_capacity + sum(
+            hosts[i].cores for i in self._waking
+        )
 
     @classmethod
     def homogeneous(
@@ -317,20 +326,10 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def active_capacity_cores(self) -> float:
-        if self._active_capacity_rev != self._index_rev:
-            hosts = self.hosts
-            self._active_capacity = sum(hosts[i].cores for i in self._active)
-            self._active_capacity_rev = self._index_rev
         return self._active_capacity
 
     def committed_capacity_cores(self) -> float:
         """Active capacity plus capacity already on its way up (waking)."""
-        if self._committed_capacity_rev != self._index_rev:
-            hosts = self.hosts
-            self._committed_capacity = self.active_capacity_cores() + sum(
-                hosts[i].cores for i in self._waking
-            )
-            self._committed_capacity_rev = self._index_rev
         return self._committed_capacity
 
     def evacuating_cores(self) -> float:

@@ -6,7 +6,7 @@ Run it from the CLI::
     repro lint src --format json
     repro lint src --format sarif > lint.sarif
     repro lint src --baseline tools/lint_baseline.json
-    repro lint src --rules RL001,RL014
+    repro lint src --rules RL001,RL013
     repro lint --list-rules
 
 or programmatically::
@@ -17,17 +17,19 @@ or programmatically::
     for finding in report.findings:
         print(finding.render())
 
-The analyzer is two-pass: per-module rules (RL001–RL011, RL015) run over
-each file during pass 1 — whose parse + findings are memoized in a
-content-hash summary cache — and project-wide rules (RL012–RL014)
-analyze the assembled :class:`ProjectContext` in pass 2.
+The analyzer is two-pass: per-module rules (RL001–RL010, RL015, RL016)
+run over each file during pass 1 — whose parse + findings are memoized
+in a content-hash summary cache — and project-wide rules (RL012, RL013)
+analyze the assembled :class:`ProjectContext` in pass 2.  RL011 and
+RL014 are retired ids: the first was folded into RL015, the second went
+with the last epoch-versioned memo it policed.
 
 Suppress a finding in place with a trailing comment, naming the rule
 (on any physical line the flagged statement spans)::
 
     except BaseException as exc:  # reprolint: disable=RL006
 
-Register a function with the kernel-hot registry (RL011/RL015)::
+Register a function with the kernel-hot registry (RL015)::
 
     def sample_once(self) -> float:  # reprolint: hot
 """

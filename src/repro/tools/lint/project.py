@@ -3,21 +3,21 @@
 The original engine ran each rule over one :class:`ModuleContext` at a
 time, which is enough for local invariants but blind to the properties
 recent regressions actually violated — RNG streams shared between
-subsystems, trace events nobody validates, a mutation path that forgets
-to bump an epoch/rev counter.  This module adds the whole-program layer:
+subsystems, trace events nobody validates.  This module adds the
+whole-program layer:
 
 * **Pass 1** parses every file once and distills it into a
-  :class:`ModuleSummary` — imports, function/class tables with
-  attribute-write and call sets, RNG-constructor sites with their seed
-  provenance, trace-event / registry / ``report.extra`` extractions, the
-  suppression map, and the ``# reprolint: hot`` registry.  Summaries are
+  :class:`ModuleSummary` — RNG-constructor sites with their seed
+  provenance, call sites, trace-event / registry / ``report.extra``
+  extractions, the suppression map, and the ``# reprolint: hot``
+  registry.  Summaries are
   plain data (JSON-serializable), so they live in a content-hash disk
   cache (same idiom as :mod:`repro.core.cache`): a warm run re-parses
   only files whose bytes changed.
 * **Pass 2** assembles the summaries into a :class:`ProjectContext`
-  (module table, call-site index, class-attribute write map) that
-  :class:`ProjectRule` subclasses analyze globally — RL012/RL013/RL014
-  live in :mod:`repro.tools.lint.project_rules`.
+  (module table and registry lookup) that :class:`ProjectRule`
+  subclasses analyze globally — RL012/RL013 live in
+  :mod:`repro.tools.lint.project_rules`.
 
 The per-module rules still run (during pass 1, so their findings cache
 alongside the summary) — :func:`lint_project` is the single entry point
@@ -31,7 +31,6 @@ import hashlib
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
@@ -42,7 +41,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -61,24 +59,10 @@ from repro.tools.lint.engine import (
 #: Bump when the ModuleSummary layout (or any extraction below) changes —
 #: invalidates every cached summary, exactly like ``CACHE_SCHEMA`` does
 #: for scenario results.
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 _ENV_CACHE_DIR = "REPRO_LINT_CACHE_DIR"
 _ENV_NO_CACHE = "REPRO_NO_LINT_CACHE"
-
-#: Attribute names that version a memoized aggregate: an integer counter
-#: incremented (``self.X += 1``) on every mutation of the aggregate's
-#: inputs.  ``Cluster._index_rev`` is the live instance.
-EPOCH_FIELD_RE = re.compile(r"(epoch|rev)$")
-
-#: Method names whose call mutates the receiver container in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "discard", "add",
-        "clear", "update", "pop", "popitem", "setdefault", "sort",
-        "reverse", "appendleft", "extendleft",
-    }
-)
 
 #: Module-constant names pass 1 records as registries for RL012/RL013.
 _REGISTRY_NAMES = frozenset({"EVENT_COVERAGE", "EXTRA_FIELDS", "RNG_STREAMS"})
@@ -146,31 +130,6 @@ class CallSite:
 
 
 @dataclass
-class MethodSummary:
-    """Dataflow facts for one method, from a single-pass CFG-lite walk.
-
-    ``always_*`` facts hold on every path that leaves the method
-    normally (paths that ``raise`` are exempt — error paths do not
-    commit a mutation); ``some_*`` facts hold on at least one path.
-    """
-
-    name: str
-    lineno: int
-    writes: List[List[Any]] = field(default_factory=list)  # [field, line, col]
-    always_bumps: List[str] = field(default_factory=list)
-    some_bumps: List[str] = field(default_factory=list)
-    always_calls: List[str] = field(default_factory=list)
-    some_calls: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ClassSummary:
-    name: str
-    lineno: int
-    methods: Dict[str, MethodSummary] = field(default_factory=dict)
-
-
-@dataclass
 class ModuleSummary:
     """Everything pass 2 may want to know about one module."""
 
@@ -181,7 +140,6 @@ class ModuleSummary:
     hot_functions: List[str] = field(default_factory=list)
     rng_sites: List[RngSite] = field(default_factory=list)
     call_sites: List[CallSite] = field(default_factory=list)
-    classes: Dict[str, ClassSummary] = field(default_factory=dict)
     trace_events: Dict[str, int] = field(default_factory=dict)  # tag -> line
     #: Registry constants (dict registries map key -> [families..., line];
     #: tuple registries map "" -> [values..., line]).
@@ -201,33 +159,12 @@ class ModuleSummary:
         data = dict(data)
         data["rng_sites"] = [RngSite(**s) for s in data.get("rng_sites", [])]
         data["call_sites"] = [CallSite(**s) for s in data.get("call_sites", [])]
-        classes = {}
-        for name, cdata in data.get("classes", {}).items():
-            methods = {
-                mname: MethodSummary(**mdata)
-                for mname, mdata in cdata.get("methods", {}).items()
-            }
-            classes[name] = ClassSummary(
-                name=cdata["name"], lineno=cdata["lineno"], methods=methods
-            )
-        data["classes"] = classes
         return cls(**data)
 
 
 # ----------------------------------------------------------------------
 # Pass-1 extraction helpers
 # ----------------------------------------------------------------------
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``self.X`` -> ``X`` (attribute access on the literal name self)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _callee_name(func: ast.expr) -> Optional[str]:
@@ -392,162 +329,6 @@ class _SeedClassifier:
 
 
 # ----------------------------------------------------------------------
-# Method dataflow (CFG-lite): writes, epoch bumps, self-calls per path
-# ----------------------------------------------------------------------
-
-
-class _BlockFacts:
-    __slots__ = (
-        "always_bumps", "some_bumps", "always_calls", "some_calls",
-        "writes", "raises",
-    )
-
-    def __init__(self) -> None:
-        self.always_bumps: Set[str] = set()
-        self.some_bumps: Set[str] = set()
-        self.always_calls: Set[str] = set()
-        self.some_calls: Set[str] = set()
-        self.writes: List[Tuple[str, int, int]] = []
-        self.raises = False
-
-    def merge_sequential(self, other: "_BlockFacts") -> None:
-        """Append facts of a block that always executes after this one."""
-        self.always_bumps |= other.always_bumps
-        self.some_bumps |= other.some_bumps
-        self.always_calls |= other.always_calls
-        self.some_calls |= other.some_calls
-        self.writes.extend(other.writes)
-        self.raises = self.raises or other.raises
-
-    def demote(self) -> None:
-        """Downgrade every always-fact to a some-fact (conditional block)."""
-        self.some_bumps |= self.always_bumps
-        self.some_calls |= self.always_calls
-        self.always_bumps = set()
-        self.always_calls = set()
-
-
-def _stmt_expressions(stmt: ast.stmt) -> Iterator[ast.expr]:
-    """Expression trees owned directly by ``stmt`` (no nested statements)."""
-    for _name, value in ast.iter_fields(stmt):
-        values = value if isinstance(value, list) else [value]
-        for item in values:
-            if isinstance(item, ast.expr):
-                yield item
-
-
-def _collect_stmt_facts(stmt: ast.stmt, facts: _BlockFacts) -> None:
-    """Record writes/bumps/self-calls from one statement's own expressions."""
-    # Epoch bump: ``self.X += <const int>`` with an epoch-ish name.
-    if isinstance(stmt, ast.AugAssign):
-        attr = _self_attr(stmt.target)
-        if attr is not None:
-            if (
-                EPOCH_FIELD_RE.search(attr)
-                and isinstance(stmt.op, ast.Add)
-                and isinstance(stmt.value, ast.Constant)
-            ):
-                facts.always_bumps.add(attr)
-            else:
-                facts.writes.append((attr, stmt.lineno, stmt.col_offset))
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, ast.AnnAssign):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Delete):
-        targets = list(stmt.targets)
-    for target in targets:
-        for t in target.elts if isinstance(target, ast.Tuple) else [target]:
-            attr = _self_attr(t)
-            if attr is None and isinstance(t, ast.Subscript):
-                attr = _self_attr(t.value)
-            if attr is not None:
-                facts.writes.append((attr, t.lineno, t.col_offset))
-    # Self-calls and mutating container-method calls in owned expressions.
-    for root in _stmt_expressions(stmt):
-        for node in ast.walk(root):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if isinstance(func.value, ast.Name) and func.value.id == "self":
-                facts.always_calls.add(func.attr)
-            elif func.attr in _MUTATOR_METHODS:
-                attr = _self_attr(func.value)
-                if attr is not None:
-                    facts.writes.append((attr, node.lineno, node.col_offset))
-
-
-def _analyze_block(stmts: Sequence[ast.stmt]) -> _BlockFacts:
-    """Path-aware facts for one statement list.
-
-    Branch facts are intersected (an ``always`` fact must hold in every
-    live branch); a branch that unconditionally raises is exempt — an
-    error path does not commit the mutation it guards.  Loop bodies may
-    run zero times, so their facts demote to ``some``.
-    """
-    facts = _BlockFacts()
-    for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        _collect_stmt_facts(stmt, facts)
-        if isinstance(stmt, ast.If):
-            body = _analyze_block(stmt.body)
-            orelse = _analyze_block(stmt.orelse)
-            live = [f for f in (body, orelse) if not f.raises]
-            if not live:
-                facts.raises = True
-            elif len(live) == 1:
-                facts.always_bumps |= live[0].always_bumps
-                facts.always_calls |= live[0].always_calls
-            else:
-                facts.always_bumps |= body.always_bumps & orelse.always_bumps
-                facts.always_calls |= body.always_calls & orelse.always_calls
-            for f in (body, orelse):
-                facts.some_bumps |= f.always_bumps | f.some_bumps
-                facts.some_calls |= f.always_calls | f.some_calls
-                facts.writes.extend(f.writes)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            for block in (stmt.body, stmt.orelse):
-                f = _analyze_block(block)
-                facts.some_bumps |= f.always_bumps | f.some_bumps
-                facts.some_calls |= f.always_calls | f.some_calls
-                facts.writes.extend(f.writes)
-        elif isinstance(stmt, ast.Try):
-            for block in (stmt.body, stmt.orelse):
-                f = _analyze_block(block)
-                facts.some_bumps |= f.always_bumps | f.some_bumps
-                facts.some_calls |= f.always_calls | f.some_calls
-                facts.writes.extend(f.writes)
-            for handler in stmt.handlers:
-                f = _analyze_block(handler.body)
-                facts.some_bumps |= f.always_bumps | f.some_bumps
-                facts.some_calls |= f.always_calls | f.some_calls
-                facts.writes.extend(f.writes)
-            facts.merge_sequential(_analyze_block(stmt.finalbody))
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            facts.merge_sequential(_analyze_block(stmt.body))
-        elif isinstance(stmt, ast.Raise):
-            facts.raises = True
-    return facts
-
-
-def _summarize_method(func: ast.FunctionDef) -> MethodSummary:
-    facts = _analyze_block(func.body)
-    return MethodSummary(
-        name=func.name,
-        lineno=func.lineno,
-        writes=[[f, line, col] for f, line, col in facts.writes],
-        always_bumps=sorted(facts.always_bumps),
-        some_bumps=sorted(facts.some_bumps | facts.always_bumps),
-        always_calls=sorted(facts.always_calls),
-        some_calls=sorted(facts.some_calls | facts.always_calls),
-    )
-
-
-# ----------------------------------------------------------------------
 # summarize_module — pass 1 for one parsed module
 # ----------------------------------------------------------------------
 
@@ -633,15 +414,6 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                     and value.value  # base-class placeholder tag is ""
                 ):
                     summary.trace_events[value.value] = node.lineno
-            summary.classes[node.name] = ClassSummary(
-                name=node.name,
-                lineno=node.lineno,
-                methods={
-                    stmt.name: _summarize_method(stmt)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.FunctionDef)
-                },
-            )
         elif isinstance(node, ast.Call):
             name = _callee_name(node.func)
             if (
@@ -675,8 +447,6 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                     summary.extra_writes.append([target.slice.value, target.lineno])
 
     # --- functions: hot registry, RNG sites, call sites -------------
-    class_stack: List[str] = []
-
     def visit_scope(
         body: Sequence[ast.stmt], qual: str, owner_class: Optional[str]
     ) -> None:
@@ -764,7 +534,6 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                 },
             )
         )
-    del class_stack
     return summary
 
 
@@ -998,7 +767,6 @@ def lint_project(
     cache: Any = True,
     baseline: Optional[Any] = None,
     exclude: Sequence[str] = (),
-    workers: int = 0,
 ) -> LintReport:
     """Run pass 1 (per-module, cached) and pass 2 (project rules).
 
@@ -1007,8 +775,7 @@ def lint_project(
     location), False, a directory path, or a :class:`SummaryCache`;
     ``REPRO_NO_LINT_CACHE`` force-disables.  ``baseline`` names a JSON
     findings file whose entries are suppressed (only *new* findings
-    fail).  ``workers`` > 1 analyzes cache-miss files in a thread pool;
-    output order is deterministic regardless.
+    fail).
     """
     module_rules, project_rules = _split_rules(rules)
     files = iter_python_files([Path(p) for p in paths], exclude)
@@ -1025,9 +792,8 @@ def lint_project(
         cache_obj = SummaryCache(cache)
     sig = rules_signature(module_rules + project_rules) if cache_obj else ""
 
-    # Serial cache probe; misses queue for (optionally parallel) parsing.
-    results: List[Optional[Tuple[List[Finding], ModuleSummary]]] = []
-    pending: List[Tuple[int, Path, str, str]] = []  # (slot, path, display, src)
+    findings: List[Finding] = []
+    summaries: List[ModuleSummary] = []
     hits = 0
     for path in files:
         display = display_path_for(path, base_root)
@@ -1035,39 +801,16 @@ def lint_project(
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise FileNotFoundError("cannot read {}: {}".format(path, exc)) from exc
+        outcome = None
         if cache_obj is not None:
             content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            cached = cache_obj.get(display, content_hash, sig)
-            if cached is not None:
-                results.append(cached)
-                hits += 1
-                continue
-        results.append(None)
-        pending.append((len(results) - 1, path, display, source))
-
-    def run_one(task: Tuple[int, Path, str, str]) -> None:
-        slot, path, display, source = task
-        results[slot] = _analyze_one(path, display, source, module_rules)
-
-    if workers and workers > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, pending))
-    else:
-        for task in pending:
-            run_one(task)
-
-    findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
-    if cache_obj is not None:
-        for (slot, path, display, source) in pending:
-            outcome = results[slot]
-            if outcome is None:  # pragma: no cover - worker died
-                continue
-            content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            cache_obj.put(display, content_hash, sig, outcome[0], outcome[1])
-    for outcome in results:
-        if outcome is None:  # pragma: no cover - defensive
-            continue
+            outcome = cache_obj.get(display, content_hash, sig)
+        if outcome is not None:
+            hits += 1
+        else:
+            outcome = _analyze_one(path, display, source, module_rules)
+            if cache_obj is not None:
+                cache_obj.put(display, content_hash, sig, *outcome)
         findings.extend(outcome[0])
         summaries.append(outcome[1])
     if cache_obj is not None:
@@ -1092,7 +835,7 @@ def lint_project(
     return LintReport(
         findings=findings,
         files_checked=len(files),
-        modules_reparsed=len(pending),
+        modules_reparsed=len(files) - hits,
         cache_hits=hits,
         baselined=baselined,
     )

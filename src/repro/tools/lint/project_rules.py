@@ -16,9 +16,6 @@ already executed:
   ``telemetry/validate.py``), and every counter written into
   ``report.extra`` must appear in the cache-schema field list
   (``EXTRA_FIELDS`` in ``core/cache.py``).
-* **RL014** — any method writing a field that feeds an epoch/rev-tagged
-  memoized aggregate must bump the corresponding counter on every
-  normally-terminating path (reaching-writes dataflow within the class).
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.tools.lint.engine import Finding
 from repro.tools.lint.project import (
-    EPOCH_FIELD_RE,
-    ClassSummary,
     ModuleSummary,
     ProjectContext,
     ProjectRule,
@@ -37,7 +32,7 @@ from repro.tools.lint.project import (
 )
 
 #: Packages whose modules participate in the deterministic simulation —
-#: the scope RL012/RL014 police (mirrors the per-module rule scoping).
+#: the scope RL012 polices (mirrors the per-module rule scoping).
 SIM_PACKAGES: Tuple[str, ...] = (
     "core",
     "datacenter",
@@ -48,11 +43,6 @@ SIM_PACKAGES: Tuple[str, ...] = (
     "workload",
     "sim",
 )
-
-#: Method names exempt from RL014: construction/deserialization happens
-#: before any memo exists, so there is nothing to invalidate yet.
-_RL014_EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__setstate__"})
-
 
 def _site_finding(
     summary: ModuleSummary, site: RngSite, rule: str, message: str
@@ -320,131 +310,9 @@ class TraceCoverageRule(ProjectRule):
                 )
 
 
-class MemoInvalidationRule(ProjectRule):
-    rule_id = "RL014"
-    title = "writes to memo-feeding fields must bump their epoch"
-    rationale = (
-        "Memoized aggregates are keyed on epoch/rev counters (the "
-        "cluster's host index and its capacity sums on '_index_rev'); a "
-        "mutation path that forgets the bump serves stale capacity "
-        "values that only surface as drift thousands of ticks later."
-    )
-    scoped_packages = SIM_PACKAGES
-    skip_test_files = True
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for summary in project.iter_modules():
-            if not self.module_in_scope(summary):
-                continue
-            for name in sorted(summary.classes):
-                yield from self._check_class(summary, summary.classes[name])
-
-    def _check_class(
-        self, summary: ModuleSummary, cls: ClassSummary
-    ) -> Iterator[Finding]:
-        epochs = {
-            bump
-            for method in cls.methods.values()
-            for bump in method.some_bumps
-            if EPOCH_FIELD_RE.search(bump)
-        }
-        if not epochs:
-            return
-        always, some = self._transitive_bumps(cls)
-
-        # A field is "protected by epoch E" when some mutator method both
-        # writes it and bumps E — __init__ establishes fields without
-        # bumping, so it never defines protection.
-        protected: Dict[str, Set[str]] = defaultdict(set)
-        for mname, method in cls.methods.items():
-            if mname in _RL014_EXEMPT_METHODS:
-                continue
-            bumps = some[mname]
-            if not bumps:
-                continue
-            for write in method.writes:
-                field = write[0]
-                if EPOCH_FIELD_RE.search(field):
-                    continue
-                protected[field].update(bumps & epochs)
-        if not protected:
-            return
-
-        for mname in sorted(cls.methods):
-            if mname in _RL014_EXEMPT_METHODS:
-                continue
-            method = cls.methods[mname]
-            reported: Set[Tuple[str, str]] = set()
-            for field, line, col in method.writes:
-                for epoch in sorted(protected.get(field, ())):
-                    if (field, epoch) in reported:
-                        continue
-                    if epoch not in some[mname]:
-                        reported.add((field, epoch))
-                        yield Finding(
-                            rule=self.rule_id,
-                            message=(
-                                "{}.{} writes '{}' (feeds the '{}'-keyed "
-                                "memo) without bumping '{}'".format(
-                                    cls.name, mname, field, epoch, epoch
-                                )
-                            ),
-                            path=summary.path,
-                            line=line,
-                            col=col,
-                        )
-                    elif epoch not in always[mname]:
-                        reported.add((field, epoch))
-                        yield Finding(
-                            rule=self.rule_id,
-                            message=(
-                                "{}.{} writes '{}' but the '{}' bump is "
-                                "conditional — not guaranteed on every "
-                                "path".format(cls.name, mname, field, epoch)
-                            ),
-                            path=summary.path,
-                            line=line,
-                            col=col,
-                        )
-
-    @staticmethod
-    def _transitive_bumps(
-        cls: ClassSummary,
-    ) -> Tuple[Dict[str, Set[str]], Dict[str, Set[str]]]:
-        """Fixpoint of bump facts across same-class self-calls.
-
-        ``always[m]`` = epochs bumped on every normal path through ``m``
-        (direct bumps plus always-bumps of methods ``m`` always calls);
-        ``some[m]`` = epochs bumped on at least one path.
-        """
-        always = {m: set(s.always_bumps) for m, s in cls.methods.items()}
-        some = {m: set(s.some_bumps) for m, s in cls.methods.items()}
-        changed = True
-        while changed:
-            changed = False
-            for mname, method in cls.methods.items():
-                for callee in method.always_calls:
-                    if callee in always and not always[callee] <= always[mname]:
-                        always[mname] |= always[callee]
-                        changed = True
-                for callee in method.some_calls:
-                    callee_all = (
-                        (some[callee] | always[callee]) if callee in some else set()
-                    )
-                    if callee_all and not callee_all <= some[mname]:
-                        some[mname] |= callee_all
-                        changed = True
-            for mname in cls.methods:
-                if not always[mname] <= some[mname]:
-                    some[mname] |= always[mname]
-                    changed = True
-        return always, some
-
-
 ALL_PROJECT_RULES: Tuple[type, ...] = (
     RngStreamProvenanceRule,
     TraceCoverageRule,
-    MemoInvalidationRule,
 )
 
 

@@ -5,13 +5,12 @@ on — bit-determinism under a seed (RL001/RL002), dimensional sanity of
 the watt/joule/second/GB arithmetic (RL003/RL004), artifacts that
 survive the process-pool and disk-cache boundaries introduced in
 PR 1 (RL008), the traced power-transition discipline the
-decision-trace validator replays (RL009), and the O(changed-hosts)
-decision hot paths the fleet-scale kernel relies on (RL011) and the
-allocation hygiene of every ``# reprolint: hot``-registered function
-(RL015) — plus three general correctness rules that have bitten
-simulation codebases before (RL005/RL006/RL007).  The *project-wide*
-rules (RL012–RL014: RNG stream provenance, trace/validator coverage,
-memo-invalidation completeness) live in
+decision-trace validator replays (RL009), and the O(changed-hosts),
+allocation-free discipline of every ``# reprolint: hot``-registered
+function (RL015) — plus three general correctness rules that have
+bitten simulation codebases before (RL005/RL006/RL007).  The
+*project-wide* rules (RL012/RL013: RNG stream provenance and
+trace/validator coverage) live in
 :mod:`repro.tools.lint.project_rules` and run in pass 2 over the
 assembled :class:`~repro.tools.lint.project.ProjectContext`.
 
@@ -738,106 +737,43 @@ class RawMigrateRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL011 — no full-inventory host scans in the DRM decision hot paths
+# RL015 — allocation hygiene and no fleet scans in kernel-hot functions
 # ----------------------------------------------------------------------
 
-#: Legacy hot-path function names, kept so the rule still fires on the
-#: manager's decision path even if a ``# reprolint: hot`` marker is
-#: dropped.  New hot functions register with the marker instead of being
-#: added here — RL011 and RL015 both honour the union.
-_HOT_PATH_FUNCS = frozenset({"evaluate", "react_to_shortfall"})
 
+def _is_cluster_hosts(node: ast.expr) -> bool:
+    """True for ``<cluster-ish>.hosts`` — the full inventory list.
 
-def _is_hot_function(module: ModuleContext, func: ast.AST) -> bool:
-    """True for functions in the kernel-hot registry.
-
-    The registry is the union of explicitly marked functions
-    (``# reprolint: hot`` on the signature) and the legacy hardcoded
-    manager decision-path names.
+    Matches ``cluster.hosts``, ``self.cluster.hosts``,
+    ``result.cluster.hosts`` — any receiver whose final component
+    mentions a cluster.
     """
-    return module.is_hot(func) or getattr(func, "name", "") in _HOT_PATH_FUNCS
-
-
-class HotPathClusterScanRule(Rule):
-    rule_id = "RL011"
-    title = "no full-cluster host scans in DRM decision hot paths"
-    rationale = (
-        "`evaluate` and `react_to_shortfall` run every round on every "
-        "tick; iterating `cluster.hosts` there is an O(fleet) scan that "
-        "the incremental host indices exist to avoid — read "
-        "`active_hosts()`/`placeable_hosts()`/`parked_hosts()` (or the "
-        "capacity aggregates) instead, and suppress per line only for a "
-        "deliberate reconciliation pass that must see every host"
-    )
-    #: Tests drive the manager against toy clusters where a scan is fine.
-    skip_test_files = True
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _is_hot_function(module, node):
-                continue
-            yield from self._check_function(module, node)
-
-    def _check_function(
-        self, module: ModuleContext, func: ast.AST
-    ) -> Iterator[Finding]:
-        for node in ast.walk(func):
-            iters: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if self._is_cluster_hosts(it):
-                    yield module.finding(
-                        self.rule_id,
-                        it,
-                        "full-cluster `.hosts` scan inside `{}`; use the "
-                        "incremental index views (`active_hosts()`, "
-                        "`placeable_hosts()`, ...) or suppress for an "
-                        "explicit reconciliation pass".format(
-                            getattr(func, "name", "?")
-                        ),
-                    )
-
-    @staticmethod
-    def _is_cluster_hosts(node: ast.expr) -> bool:
-        """True for ``<cluster-ish>.hosts`` — the full inventory list.
-
-        Matches ``cluster.hosts``, ``self.cluster.hosts``,
-        ``result.cluster.hosts`` — any receiver whose final component
-        mentions a cluster.
-        """
-        if not (isinstance(node, ast.Attribute) and node.attr == "hosts"):
-            return False
-        value = node.value
-        if isinstance(value, ast.Name):
-            return "cluster" in value.id.lower()
-        if isinstance(value, ast.Attribute):
-            return "cluster" in value.attr.lower()
+    if not (isinstance(node, ast.Attribute) and node.attr == "hosts"):
         return False
-
-
-# ----------------------------------------------------------------------
-# RL015 — allocation hygiene in kernel-hot functions
-# ----------------------------------------------------------------------
+    value = node.value
+    if isinstance(value, ast.Name):
+        return "cluster" in value.id.lower()
+    if isinstance(value, ast.Attribute):
+        return "cluster" in value.attr.lower()
+    return False
 
 
 class AllocationHygieneRule(Rule):
     rule_id = "RL015"
-    title = "no sorted()/comprehensions/loop container churn in hot functions"
+    title = "no full-cluster host scans or container churn in hot functions"
     rationale = (
-        "Functions in the `# reprolint: hot` registry run per tick per "
-        "host at fleet scale; a sorted() call or a comprehension builds "
-        "a fresh container every invocation, and a dict/list/set "
-        "constructed inside a loop multiplies that by the iteration "
-        "count.  Hoist the allocation, reuse a preallocated buffer, or "
-        "switch to a generator expression (allocation-free) — suppress "
-        "per line only for a slow path that is provably off-tick."
+        "Functions in the `# reprolint: hot` registry (the plane's "
+        "`evaluate` and `react_to_shortfall` among them) run per tick "
+        "per host at fleet scale.  Iterating `cluster.hosts` there is an "
+        "O(fleet) scan the incremental index views exist to avoid; a "
+        "sorted() call or a comprehension builds a fresh container "
+        "every invocation, and a dict/list/set constructed inside a "
+        "loop multiplies that by the iteration count.  Read "
+        "`active_hosts()`/`placeable_hosts()`/... or the capacity "
+        "aggregates, hoist the allocation, reuse a preallocated buffer, "
+        "or switch to a generator expression — suppress per line only "
+        "for a slow path that is provably off-tick or a deliberate "
+        "reconciliation pass that must see every host."
     )
     skip_test_files = True
 
@@ -848,7 +784,7 @@ class AllocationHygieneRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not _is_hot_function(module, node):
+            if not module.is_hot(node):
                 continue
             for stmt in node.body:
                 yield from self._check_node(module, stmt, node.name, 0)
@@ -891,6 +827,17 @@ class AllocationHygieneRule(Rule):
                 node,
                 "container literal inside a loop in kernel-hot `{}`; "
                 "hoist or reuse a preallocated container".format(func),
+            )
+        if isinstance(
+            node, (ast.For, ast.AsyncFor, ast.comprehension)
+        ) and _is_cluster_hosts(node.iter):
+            yield module.finding(
+                self.rule_id,
+                node.iter,
+                "full-cluster `.hosts` scan inside kernel-hot `{}`; use "
+                "the incremental index views (`active_hosts()`, "
+                "`placeable_hosts()`, ...) or suppress for an explicit "
+                "reconciliation pass".format(func),
             )
         inner_depth = loop_depth + (
             1 if isinstance(node, (ast.For, ast.AsyncFor, ast.While)) else 0
@@ -1007,13 +954,12 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     UnpicklableFieldRule,
     UntracedTransitionRule,
     RawMigrateRule,
-    HotPathClusterScanRule,
     AllocationHygieneRule,
     AtomicArtifactWriteRule,
 )
 
 #: Per-module rules only; see :func:`registry` for the combined map that
-#: includes the project-wide rules (RL012–RL014).
+#: includes the project-wide rules (RL012, RL013).
 RULES_BY_ID: Dict[str, Type[Rule]] = {cls.rule_id: cls for cls in ALL_RULES}
 
 

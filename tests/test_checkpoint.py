@@ -163,20 +163,28 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="schema"):
             resume_scenario(path)
 
-    def test_schema_1_rejected(self, tmp_path):
+    def _assert_schema_rejected(self, tmp_path, schema):
         path = self._one_checkpoint(tmp_path)
         raw = path.read_bytes()
         magic, rest = raw.split(b"\n", 1)
         header, payload = rest.split(b"\n", 1)
         manifest = json.loads(header)
-        manifest["schema"] = 1
+        manifest["schema"] = schema
         path.write_bytes(
             magic + b"\n"
             + json.dumps(manifest, sort_keys=True).encode() + b"\n"
             + payload
         )
-        with pytest.raises(CheckpointError, match="schema 1"):
+        with pytest.raises(CheckpointError, match="schema {}".format(schema)):
             resume_scenario(path)
+
+    def test_schema_1_rejected(self, tmp_path):
+        self._assert_schema_rejected(tmp_path, 1)
+
+    def test_schema_3_rejected(self, tmp_path):
+        # Schema 3 pickled lazily refreshed capacity sums that could be
+        # stale; schema 4 clusters trust the pickled sums as current.
+        self._assert_schema_rejected(tmp_path, 3)
 
     def test_trace_that_regenerates_differently_rejected(
         self, tmp_path, monkeypatch

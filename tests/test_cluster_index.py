@@ -5,9 +5,15 @@ mutation callbacks (power transitions, flag changes, placement).  These
 tests drive randomized admit/retire/park/wake/fault/maintenance
 sequences — advancing simulated time so checks land mid-transition too —
 and after every operation compare each indexed view against the
-predicate scan it replaced.
+predicate scan it replaced, and the capacity sums bit for bit against
+sums over that scan in inventory order.
 """
 
+import itertools
+import pickle
+import sys
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +75,11 @@ def assert_index_matches_scan(cluster):
     assert cluster.evacuating_cores() == sum(
         h.cores for h in scanned["evacuating"]
     )
+    # Capacity sums: same bits as a from-scratch sum in inventory order.
+    active = sum(h.cores for h in scanned["active"])
+    committed = active + sum(h.cores for h in scanned["waking"])
+    assert cluster.active_capacity_cores().hex() == active.hex()
+    assert cluster.committed_capacity_cores().hex() == committed.hex()
 
 
 PARK_STATES = (PowerState.SLEEP, PowerState.HIBERNATE, PowerState.OFF)
@@ -98,6 +109,54 @@ operations = st.lists(
 )
 
 
+#: Fresh VM names across every generated sequence.
+_vm_names = ("vm-{:06d}".format(i) for i in itertools.count())
+
+
+def apply_op(env, cluster, op, vm_vcpus=1.0):
+    """Apply one generated operation to ``cluster`` (skipping illegal ones)."""
+    code, host_idx, state_idx, dt = op
+    host = cluster.hosts[host_idx]
+    if code == "park":
+        if host.is_active and not host.vms:
+            env.process(host.park(PARK_STATES[state_idx]))
+            # Nudge the clock so the transition actually starts (the
+            # index must reflect the in-flight transition).
+            env.run(until=env.now + 1e-9)
+    elif code == "wake":
+        if (
+            not host.machine.in_transition
+            and host.state.is_parked
+            and not host.out_of_service
+        ):
+            env.process(host.wake())
+            env.run(until=env.now + 1e-9)
+    elif code == "fault":
+        host.out_of_service = True
+    elif code == "repair":
+        if host.out_of_service:
+            host.repair()
+    elif code == "maintenance":
+        host.in_maintenance = not host.in_maintenance
+    elif code == "evacuate":
+        host.evacuating = not host.evacuating
+    elif code == "admit":
+        if host.is_active:
+            vm = VM(
+                next(_vm_names),
+                vcpus=vm_vcpus,
+                mem_gb=2.0,
+                trace=FlatTrace(0.5),
+            )
+            if host.fits(vm):
+                cluster.add_vm(vm, host)
+    elif code == "retire":
+        if cluster.vms:
+            cluster.remove_vm(cluster.vms[0])
+    elif code == "advance":
+        env.run(until=env.now + dt)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=operations)
 def test_index_matches_scan_after_random_operations(ops):
@@ -105,51 +164,78 @@ def test_index_matches_scan_after_random_operations(ops):
     cluster = Cluster.homogeneous(
         env, PROTOTYPE_BLADE, n_hosts=6, cores=8.0, mem_gb=64.0
     )
-    admitted = 0
-    for code, host_idx, state_idx, dt in ops:
-        host = cluster.hosts[host_idx]
-        if code == "park":
-            if host.is_active and not host.vms:
-                env.process(host.park(PARK_STATES[state_idx]))
-                # Nudge the clock so the transition actually starts (the
-                # index must reflect the in-flight transition).
-                env.run(until=env.now + 1e-9)
-        elif code == "wake":
-            if (
-                not host.machine.in_transition
-                and host.state.is_parked
-                and not host.out_of_service
-            ):
-                env.process(host.wake())
-                env.run(until=env.now + 1e-9)
-        elif code == "fault":
-            host.out_of_service = True
-        elif code == "repair":
-            if host.out_of_service:
-                host.repair()
-        elif code == "maintenance":
-            host.in_maintenance = not host.in_maintenance
-        elif code == "evacuate":
-            host.evacuating = not host.evacuating
-        elif code == "admit":
-            if host.is_active:
-                vm = VM(
-                    "vm-{:04d}".format(admitted),
-                    vcpus=1.0,
-                    mem_gb=2.0,
-                    trace=FlatTrace(0.5),
-                )
-                if host.fits(vm):
-                    cluster.add_vm(vm, host)
-                    admitted += 1
-        elif code == "retire":
-            if cluster.vms:
-                cluster.remove_vm(cluster.vms[0])
-        elif code == "advance":
-            env.run(until=env.now + dt)
+    for op in ops:
+        apply_op(env, cluster, op)
         assert_index_matches_scan(cluster)
     # Drain all in-flight transitions and check the settled state too.
     env.run()
+    assert_index_matches_scan(cluster)
+
+
+#: Non-integral core counts whose float sum depends on summation order,
+#: so a capacity sum taken in any order but inventory order shows.
+ODD_CORES = (0.1, 0.2, 0.3, 0.7, 1.1, 2.9)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() of floats is compensated from Python 3.12 on, so the "
+    "order of these positive terms cannot change the result",
+)
+def test_odd_cores_make_summation_order_visible():
+    assert sum(ODD_CORES) != sum(reversed(ODD_CORES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=operations)
+def test_capacity_sums_match_scan_on_heterogeneous_inventory(ops):
+    env = Environment()
+    cluster = Cluster.heterogeneous(
+        env,
+        [
+            {"count": 1, "profile": PROTOTYPE_BLADE, "cores": c, "mem_gb": 64.0}
+            for c in ODD_CORES
+        ],
+    )
+    assert_index_matches_scan(cluster)
+    for op in ops:
+        apply_op(env, cluster, op, vm_vcpus=0.05)
+        assert_index_matches_scan(cluster)
+    env.run()
+    assert_index_matches_scan(cluster)
+    # A checkpoint pickles the sums with the index; the restored cluster
+    # must carry them intact and keep them current through later changes.
+    env, cluster = pickle.loads(pickle.dumps((env, cluster)))
+    assert_index_matches_scan(cluster)
+    for op in ops:
+        apply_op(env, cluster, op, vm_vcpus=0.05)
+        assert_index_matches_scan(cluster)
+    env.run()
+    assert_index_matches_scan(cluster)
+
+
+def test_capacity_sums_track_wakes_in_flight():
+    """A waking host counts as committed, not active, until it is up."""
+    env = Environment()
+    cluster = Cluster.heterogeneous(
+        env,
+        [
+            {"count": 1, "profile": PROTOTYPE_BLADE, "cores": c, "mem_gb": 64.0}
+            for c in ODD_CORES
+        ],
+    )
+    for idx in (0, 2, 3, 5):
+        env.process(cluster.hosts[idx].park(PowerState.SLEEP))
+    env.run()
+    assert_index_matches_scan(cluster)
+    for idx in (5, 0, 3):
+        env.process(cluster.hosts[idx].wake())
+        env.run(until=env.now + 1e-9)
+        assert cluster.hosts[idx] in cluster.waking_hosts()
+        assert_index_matches_scan(cluster)
+    assert cluster.committed_capacity_cores() > cluster.active_capacity_cores()
+    env.run()
+    assert cluster.waking_hosts() == []
     assert_index_matches_scan(cluster)
 
 
